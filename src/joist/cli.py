@@ -14,6 +14,8 @@ import sys
 from dataclasses import asdict
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import experiment, models
 from .errors import DataError, FormatError, JoistError, NumericalError, RemoteError
 from .experiment import SplitPlan, SynthSpec
@@ -88,9 +90,7 @@ def _synth_spec_from_json(doc) -> SynthSpec:
         raise FormatError('synthesis spec missing "true_model"')
     true_model = models.from_json_dict(true_model_doc)
 
-    noise = doc.get("noise_sigma_us")
-    if not isinstance(noise, (int, float)) or isinstance(noise, bool):
-        raise FormatError('synthesis spec missing numeric "noise_sigma_us"')
+    noise = models.finite_float(doc.get("noise_sigma_us"), 'synthesis spec missing finite numeric "noise_sigma_us"')
 
     ranges_doc = doc.get("count_ranges")
     if not isinstance(ranges_doc, Mapping):
@@ -113,7 +113,7 @@ def _synth_spec_from_json(doc) -> SynthSpec:
 
     return SynthSpec(
         true_model=true_model,
-        noise_sigma_us=float(noise),
+        noise_sigma_us=noise,
         count_ranges=ranges,
         n_blocks=n_blocks,
         seed=seed,
@@ -124,7 +124,7 @@ def _cmd_synth(args) -> int:
     try:
         with open(args.spec, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{args.spec}: not valid JSON: {exc}") from exc
     spec = _synth_spec_from_json(doc)
     ds = experiment.generate_synthetic(spec)
@@ -165,9 +165,7 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     ds = read_dataset(DatasetFile(args.data))
-    t = [float(v) for v in ds.times_us()]
-    t_hat = [predict(model, s.features) for s in ds]
-    report = evaluate(t, t_hat, n_predictors(model.kind))
+    report = evaluate(ds.verify_time_us, predict(model, ds), n_predictors(model.kind))
     print(json.dumps(asdict(report)))
     return EXIT_OK
 
@@ -196,9 +194,10 @@ def _cmd_correlate(args) -> int:
 def _cmd_composition(args) -> int:
     ds = read_dataset(DatasetFile(args.data))
     report = experiment.composition_analysis(ds)
+    heights = map(str, report.heights.tolist())
+    shares = map(_float_strs, (report.transparent_in, report.spend_output, report.joinsplit))
     lines = ["height,transparent_in,spend_output,joinsplit"]
-    for block in report.per_block:
-        lines.append(f"{block.height},{block.transparent_in},{block.spend_output},{block.joinsplit}")
+    lines.extend(map(",".join, zip(heights, *shares)))
     if report.mean_transparent_in is not None:
         lines.append(
             f"mean,{report.mean_transparent_in},{report.mean_spend_output},{report.mean_joinsplit}"
@@ -210,6 +209,16 @@ def _cmd_composition(args) -> int:
             file=sys.stderr,
         )
     return EXIT_OK
+
+
+def _float_strs(values: np.ndarray) -> list[str]:
+    """str() of each float64 value, formatting each distinct bit pattern once.
+
+    Shares of small counts repeat a lot, and formatting dominates the cost.
+    """
+    distinct, index = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([str(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return text[index].tolist()
 
 
 def _build_parser() -> argparse.ArgumentParser:

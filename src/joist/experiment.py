@@ -9,10 +9,14 @@ from its inputs alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
 from math import fsum
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     DegenerateVarianceError,
@@ -21,24 +25,17 @@ from .errors import (
     ShapeError,
     SynthSpecError,
 )
-from .features import BlockFeatures, Dataset, VerificationSample
+from .features import FEATURE_COLUMNS, Dataset
 from .fit import ols_fit
 from .models import PREDICTORS, ModelKind, ModelSpec, n_predictors, predict
-from .rng import SplitMix64, shuffled_indices
-from .stats import EvalReport, evaluate, pearson_r
+from .rng import SplitMix64, gaussians, shuffled_indices
+from .stats import EvalReport, evaluate, fsum_squares, pearson_r
 
 _MAX_SEED = (1 << 64) - 1
+_INT64_MAX = (1 << 63) - 1
 
 # Feature columns reported by correlation_table, in table order.
 CORRELATION_FEATURES = ("transparent_in", "transparent_out", "spend", "output", "joinsplit")
-
-_FEATURE_GETTERS = {
-    "transparent_in": lambda f: f.n_transparent_in,
-    "transparent_out": lambda f: f.n_transparent_out,
-    "spend": lambda f: f.n_spend,
-    "output": lambda f: f.n_output,
-    "joinsplit": lambda f: f.n_joinsplit,
-}
 
 COMPARISON_CSV_HEADER = (
     "model,split,n,mae_us,emr,r2,adj_r2,max_abs_error_us,max_prediction_us,n_exceeding"
@@ -72,12 +69,8 @@ def split(ds: Dataset, plan: SplitPlan) -> tuple[Dataset, Dataset]:
         raise ShapeError(
             f"dataset has {len(ds)} samples but plan wants {plan.n_fit} + {plan.n_predict}"
         )
-    order = shuffled_indices(len(ds), SplitMix64(plan.seed))
-    fit_idx = sorted(order[: plan.n_fit])
-    predict_idx = sorted(order[plan.n_fit :])
-    fit_set = Dataset(tuple(ds.samples[i] for i in fit_idx))
-    predict_set = Dataset(tuple(ds.samples[i] for i in predict_idx))
-    return fit_set, predict_set
+    order = np.array(shuffled_indices(len(ds), SplitMix64(plan.seed)), dtype=np.intp)
+    return ds.take(np.sort(order[: plan.n_fit])), ds.take(np.sort(order[plan.n_fit :]))
 
 
 @dataclass(frozen=True)
@@ -101,18 +94,12 @@ def run_comparison(
     """
     fit_set, predict_set = split(ds, plan)
     label = f"{plan.n_fit}/{plan.n_predict}"
-    t = [float(v) for v in predict_set.times_us()]
-    rows = []
-    for kind in kinds:
-        model = ols_fit(kind, fit_set).model
-        t_hat = [predict(model, s.features) for s in predict_set]
-        rows.append(ComparisonRow(kind, label, evaluate(t, t_hat, n_predictors(kind))))
-    for baseline in baselines:
-        t_hat = [predict(baseline, s.features) for s in predict_set]
-        rows.append(
-            ComparisonRow(baseline.kind, label, evaluate(t, t_hat, n_predictors(baseline.kind)))
-        )
-    return rows
+    t = predict_set.verify_time_us
+    models = chain((ols_fit(kind, fit_set).model for kind in kinds), baselines)
+    return [
+        ComparisonRow(m.kind, label, evaluate(t, predict(m, predict_set), n_predictors(m.kind)))
+        for m in models
+    ]
 
 
 def comparison_csv_lines(rows: Iterable[ComparisonRow]) -> list[str]:
@@ -146,13 +133,10 @@ def correlation_table(ds: Dataset) -> dict[str, float | None]:
     A constant feature column yields ``None`` for that entry (degenerate
     variance) instead of a number.
     """
-    t = [float(v) for v in ds.times_us()]
     table: dict[str, float | None] = {}
     for name in CORRELATION_FEATURES:
-        getter = _FEATURE_GETTERS[name]
-        x = [float(getter(s.features)) for s in ds]
         try:
-            table[name] = pearson_r(x, t).r
+            table[name] = pearson_r(getattr(ds, FEATURE_COLUMNS[name]), ds.verify_time_us).r
         except DegenerateVarianceError:
             table[name] = None
     return table
@@ -165,52 +149,48 @@ class BlockComposition(NamedTuple):
     joinsplit: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositionReport:
     """Per-block and mean shares of transparent inputs, Spend+Output
     descriptions, and JoinSplit descriptions among a block's verification
     items. Blocks with no items at all (coinbase-only) are excluded and
-    counted; the means are ``None`` if nothing remains."""
+    counted; the means are ``None`` if nothing remains.
 
-    per_block: tuple[BlockComposition, ...]
+    The per-block shares are columns (``heights`` int64, the shares float64)
+    over the included blocks, in height order."""
+
+    heights: np.ndarray
+    transparent_in: np.ndarray
+    spend_output: np.ndarray
+    joinsplit: np.ndarray
     mean_transparent_in: float | None
     mean_spend_output: float | None
     mean_joinsplit: float | None
     n_excluded: int
 
+    @property
+    def per_block(self) -> tuple[BlockComposition, ...]:
+        columns = (self.heights, self.transparent_in, self.spend_output, self.joinsplit)
+        return tuple(BlockComposition(*row) for row in zip(*(c.tolist() for c in columns)))
+
 
 def composition_analysis(ds: Dataset) -> CompositionReport:
-    per_block = []
-    excluded = 0
-    for sample in ds:
-        f = sample.features
-        denom = f.n_transparent_in + f.n_spend + f.n_output + f.n_joinsplit
-        if denom == 0:
-            excluded += 1
-            continue
-        per_block.append(
-            BlockComposition(
-                height=f.height,
-                transparent_in=f.n_transparent_in / denom,
-                spend_output=(f.n_spend + f.n_output) / denom,
-                joinsplit=f.n_joinsplit / denom,
-            )
-        )
-    if per_block:
-        n = len(per_block)
-        means = (
-            fsum(b.transparent_in for b in per_block) / n,
-            fsum(b.spend_output for b in per_block) / n,
-            fsum(b.joinsplit for b in per_block) / n,
-        )
-    else:
-        means = (None, None, None)
+    # Float64 sums equal the integer sums while those stay below 2**53, and
+    # unlike int64 sums they cannot wrap.
+    n_in, n_spend, n_output, n_js = (
+        c.astype(np.float64) for c in (ds.n_transparent_in, ds.n_spend, ds.n_output, ds.n_joinsplit)
+    )
+    denom = n_in + n_spend + n_output + n_js
+    keep = denom != 0
+    denom = denom[keep]
+    shares = (n_in[keep] / denom, (n_spend[keep] + n_output[keep]) / denom, n_js[keep] / denom)
+    n = len(denom)
+    means = tuple(fsum(share.tolist()) / n for share in shares) if n else (None, None, None)
     return CompositionReport(
-        per_block=tuple(per_block),
-        mean_transparent_in=means[0],
-        mean_spend_output=means[1],
-        mean_joinsplit=means[2],
-        n_excluded=excluded,
+        ds.height[keep],
+        *shares,
+        *means,
+        n_excluded=len(ds) - n,
     )
 
 
@@ -239,8 +219,11 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if self.true_model.kind is not ModelKind.JOIST:
             raise SynthSpecError("true_model must be of the joist kind")
-        if self.noise_sigma_us < 0:
-            raise SynthSpecError(f"noise_sigma_us must be >= 0, got {self.noise_sigma_us}")
+        if not 0 <= self.noise_sigma_us < math.inf:
+            raise SynthSpecError(f"noise_sigma_us must be finite and >= 0, got {self.noise_sigma_us}")
+        model = self.true_model
+        if not all(map(math.isfinite, [model.intercept_us, *model.coefficients.values()])):
+            raise SynthSpecError("true_model intercept and coefficients must be finite")
         if self.n_blocks < 1:
             raise SynthSpecError(f"n_blocks must be >= 1, got {self.n_blocks}")
         if not 0 <= self.seed <= _MAX_SEED:
@@ -264,7 +247,9 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
 
     Raises:
         SynthSpecError: if the recipe can never produce a positive time (the
-            true model value is <= 0 over the entire count box).
+            true model value is <= 0 over the entire count box), if its count
+            ranges allow block sizes beyond int64, or if a drawn time or size
+            is not finite or does not fit in int64.
     """
     names = PREDICTORS[ModelKind.JOIST]
     coeffs = spec.true_model.coefficients
@@ -277,30 +262,48 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
             f"count ranges force non-positive times (best achievable model value {best})"
         )
 
-    rng = SplitMix64(spec.seed)
-    samples = []
-    for height in range(1, spec.n_blocks + 1):
-        counts = {name: rng.next_int(*spec.count_ranges[name]) for name in names}
-        exact = spec.true_model.intercept_us + sum(coeffs[n] * counts[n] for n in names)
-        time_noise = rng.next_gaussian() * spec.noise_sigma_us
-        affine_size = _SYNTH_BASE_BYTES + sum(_SYNTH_BYTES[n] * counts[n] for n in names)
-        size_noise = rng.next_gaussian() * _SYNTH_SIZE_NOISE_FRACTION * affine_size
-        features = BlockFeatures(
-            height=height,
-            size_bytes=max(1, round(affine_size + size_noise)),
-            n_transparent_in=counts["transparent_in"],
-            n_transparent_out=counts["transparent_in"] + 1,
-            n_spend=counts["spend"],
-            n_output=counts["output"],
-            n_joinsplit=counts["joinsplit"],
-        )
-        samples.append(
-            VerificationSample(
-                features=features,
-                verify_time_us=max(1, round(exact + time_noise)),
-            )
-        )
-    return Dataset(tuple(samples))
+    lo = {name: spec.count_ranges[name][0] for name in names}
+    span = {name: spec.count_ranges[name][1] - lo[name] + 1 for name in names}
+    max_size = _SYNTH_BASE_BYTES + sum(_SYNTH_BYTES[n] * spec.count_ranges[n][1] for n in names)
+    if max_size > _INT64_MAX:
+        raise SynthSpecError(f"count ranges allow block sizes up to {max_size}, beyond int64")
+
+    # Eight raw draws per block, in the documented order.
+    draws = SplitMix64(spec.seed).next_block(8 * spec.n_blocks).reshape(spec.n_blocks, 8)
+    counts = {
+        name: lo[name] + (draws[:, i] % np.uint64(span[name])).astype(np.int64)
+        for i, name in enumerate(names)
+    }
+    affine_size = _SYNTH_BASE_BYTES + sum(_SYNTH_BYTES[n] * counts[n] for n in names)
+    affine_size = affine_size.astype(np.float64)
+    # Overflow to inf is caught by _rounded_at_least_one, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = 0.0
+        for name in names:
+            exact = exact + coeffs[name] * counts[name].astype(np.float64)
+        times = spec.true_model.intercept_us + exact + gaussians(draws[:, 4], draws[:, 5]) * spec.noise_sigma_us
+        size_noise = gaussians(draws[:, 6], draws[:, 7]) * _SYNTH_SIZE_NOISE_FRACTION * affine_size
+    columns = {
+        "height": np.arange(1, spec.n_blocks + 1),
+        "size_bytes": _rounded_at_least_one("size_bytes", affine_size + size_noise),
+        "n_transparent_in": counts["transparent_in"],
+        "n_transparent_out": counts["transparent_in"] + 1,
+        "n_spend": counts["spend"],
+        "n_output": counts["output"],
+        "n_joinsplit": counts["joinsplit"],
+        "verify_time_us": _rounded_at_least_one("verify_time_us", times),
+    }
+    return Dataset(columns)
+
+
+def _rounded_at_least_one(name: str, values: np.ndarray) -> np.ndarray:
+    """max(1, round(v)) per value, as int64 (round half to even, like round())."""
+    rounded = np.rint(values)
+    bad = np.flatnonzero(~(np.isfinite(values) & (rounded < 2.0**63)))
+    if bad.size:
+        i = bad[0]
+        raise SynthSpecError(f"block {i + 1}: drawn {name} {values[i]} is not finite or does not fit in int64")
+    return np.maximum(1.0, rounded).astype(np.int64)
 
 
 def emit_plot_data(predict_set: Dataset, model: ModelSpec, out: str | Path) -> None:
@@ -311,22 +314,22 @@ def emit_plot_data(predict_set: Dataset, model: ModelSpec, out: str | Path) -> N
     ``<out>.line.json`` as ``{"slope": ..., "intercept_us": ...}``. Log
     scaling is left to the plotting tool.
     """
-    predictions = [predict(model, s.features) for s in predict_set]
-    measured = predict_set.times_us()
+    predictions = predict(model, predict_set)
+    measured = predict_set.verify_time_us
 
     n = len(predictions)
-    x_mean = fsum(predictions) / n
-    y_mean = fsum(float(m) for m in measured) / n
-    sxx = fsum((x - x_mean) ** 2 for x in predictions)
+    x_mean = fsum(predictions.tolist()) / n
+    y_mean = fsum(measured.astype(np.float64).tolist()) / n
+    dx = predictions - x_mean
+    sxx = fsum_squares(dx)
     if sxx == 0.0:
         raise RankDeficiencyError("all predictions are identical; regression line undefined")
-    sxy = fsum((x - x_mean) * (y - y_mean) for x, y in zip(predictions, measured))
+    sxy = fsum((dx * (measured - y_mean)).tolist())
     slope = sxy / sxx
     intercept = y_mean - slope * x_mean
 
-    lines = ["height,measured_us,predicted_us"]
-    for sample, t_hat in zip(predict_set, predictions):
-        lines.append(f"{sample.features.height},{sample.verify_time_us},{t_hat}")
+    rows = zip(predict_set.height.tolist(), measured.tolist(), predictions.tolist())
+    lines = ["height,measured_us,predicted_us", *(f"{h},{m},{p}" for h, m, p in rows)]
     out_path = Path(out)
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     sidecar = Path(str(out_path) + ".line.json")

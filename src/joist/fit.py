@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficiencyError, SampleCountError, UnsupportedKindError
-from .features import Dataset
-from .models import PREDICTORS, ModelKind, ModelSpec, predictor_vector
+from .features import FEATURE_COLUMNS, Dataset
+from .models import PREDICTORS, ModelKind, ModelSpec
 
 # Condition numbers beyond this leave fewer than ~8 trustworthy digits in the
 # coefficients; the fit still returns but carries a warning.
@@ -33,9 +33,9 @@ class FitResult:
 
 def design_matrix(kind: ModelKind, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Design matrix (predictor columns plus trailing ones column) and targets."""
-    rows = [predictor_vector(kind, s.features) + [1.0] for s in ds]
-    y = np.array([float(s.verify_time_us) for s in ds], dtype=np.float64)
-    return np.array(rows, dtype=np.float64), y
+    columns = [getattr(ds, FEATURE_COLUMNS[name]) for name in PREDICTORS[kind]]
+    x = np.column_stack([*columns, np.ones(len(ds))])
+    return x, ds.verify_time_us.astype(np.float64)
 
 
 def ols_fit(kind: ModelKind, train: Dataset) -> FitResult:

@@ -9,17 +9,22 @@ Dataset CSV format (UTF-8, LF line endings, no quoting):
 
     height,size_bytes,n_transparent_in,n_transparent_out,n_spend,n_output,n_joinsplit,verify_time_us
 
-with every field a base-10 integer and rows sorted by height.
+with every field plain base-10 digits (an optional leading ``-``, no sign,
+space or underscore otherwise) within the int64 range, and rows sorted by
+height.
 """
 
 from __future__ import annotations
 
+import io
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
 import requests
 
 from .errors import (
@@ -29,12 +34,23 @@ from .errors import (
     ParseError,
     RpcConnectionError,
 )
-from .features import BlockFeatures, Dataset, VerificationSample, aggregate_block, extract_tx_features
+from .features import (
+    COLUMNS,
+    BlockFeatures,
+    Dataset,
+    VerificationSample,
+    aggregate_block,
+    extract_tx_features,
+)
 
-CSV_HEADER = "height,size_bytes,n_transparent_in,n_transparent_out,n_spend,n_output,n_joinsplit,verify_time_us"
+CSV_HEADER = ",".join(COLUMNS)
 
 # getblock verbosity level at which the node inlines fully decoded transactions.
 _DECODED_TX_VERBOSITY = 2
+
+# A dataset CSV field: plain ASCII digits with an optional minus sign.
+_FIELD = re.compile(r"-?[0-9]+")
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -88,6 +104,8 @@ def _rpc_call(endpoint: RpcEndpoint, method: str, params: list):
         raise RpcConnectionError(f"malformed RPC response from {endpoint.url}")
     error = body.get("error")
     if error:
+        if not isinstance(error, Mapping):
+            raise RpcConnectionError(f"malformed RPC error from {endpoint.url}: {error!r}")
         # Callers translate method-specific errors; anything else is remote trouble.
         raise _RpcServerError(error.get("code"), error.get("message", ""))
     return body.get("result")
@@ -107,6 +125,8 @@ def _block_features_from_record(block: Mapping, height: int) -> BlockFeatures:
     size = block.get("size")
     if not isinstance(size, int) or isinstance(size, bool):
         raise ParseError(f'block {height}: missing integer field "size"')
+    if size > _INT64.max:
+        raise ParseError(f"block {height}: size {size} does not fit the dataset format's int64")
     try:
         tx_features = [extract_tx_features(tx) for tx in txs]
     except ParseError as exc:
@@ -145,20 +165,11 @@ def fetch_block_features(endpoint: RpcEndpoint, height_range: tuple[int, int]) -
         return list(pool.map(lambda h: _fetch_one(endpoint, h), heights))
 
 
-def _features_row(f: BlockFeatures, verify_time_us: int) -> str:
-    return ",".join(
-        str(v)
-        for v in (
-            f.height,
-            f.size_bytes,
-            f.n_transparent_in,
-            f.n_transparent_out,
-            f.n_spend,
-            f.n_output,
-            f.n_joinsplit,
-            verify_time_us,
-        )
-    )
+def _write_csv(path: str | Path, rows: np.ndarray) -> None:
+    """Write an (n, 8) int64 array as the interchange CSV, header first."""
+    line = ",".join(["%d"] * len(COLUMNS)) + "\n"
+    body = (line * len(rows)) % tuple(rows.ravel().tolist())
+    Path(path).write_text(CSV_HEADER + "\n" + body, encoding="utf-8", newline="\n")
 
 
 def write_dataset(ds: Dataset, file: DatasetFile) -> None:
@@ -167,16 +178,17 @@ def write_dataset(ds: Dataset, file: DatasetFile) -> None:
     The format stores integer microseconds; a dataset holding fractional
     in-memory times cannot be serialized.
     """
-    lines = [CSV_HEADER]
-    for s in ds:
-        t = s.verify_time_us
-        if int(t) != t:
+    t = ds.verify_time_us
+    if t.dtype.kind == "f":
+        bad = np.flatnonzero((t != np.trunc(t)) | (t >= 2.0**63))
+        if bad.size:
+            i = bad[0]
             raise FormatError(
-                f"height {s.features.height}: verify_time_us {t} is not an integer; "
+                f"height {ds.height[i]}: verify_time_us {t[i]} is not an integer within int64; "
                 "the CSV format stores whole microseconds"
             )
-        lines.append(_features_row(s.features, int(t)))
-    Path(file.path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        t = t.astype(np.int64)
+    _write_csv(file.path, np.column_stack([getattr(ds, c) for c in COLUMNS[:-1]] + [t]))
 
 
 def write_features_csv(features: Sequence[BlockFeatures], path: str | Path) -> None:
@@ -186,51 +198,93 @@ def write_features_csv(features: Sequence[BlockFeatures], path: str | Path) -> N
     fitting until measured times are merged in.
     """
     ordered = sorted(features, key=lambda f: f.height)
-    lines = [CSV_HEADER]
-    lines.extend(_features_row(f, 0) for f in ordered)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    rows = [[getattr(f, c) for c in COLUMNS[:-1]] + [0] for f in ordered]
+    _write_csv(path, np.array(rows, dtype=np.int64).reshape(-1, len(COLUMNS)))
 
 
 def read_dataset(file: DatasetFile) -> Dataset:
     """Read and validate a dataset CSV.
 
+    A well-formed file is parsed as a whole by numpy. Any file that is not,
+    or whose values break an invariant, is re-read row by row, so the error
+    names the offending line.
+
     Raises:
-        FormatError: wrong header or non-integer fields.
-        IntegrityError: duplicate heights, non-positive times or sizes.
+        FormatError: wrong header, invalid UTF-8, or a field that is not a
+            plain base-10 integer within int64.
+        IntegrityError: duplicate heights, non-positive times or sizes,
+            negative counts, or no rows at all.
     """
-    text = Path(file.path).read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if not lines or lines[0] != CSV_HEADER:
-        raise FormatError(f'{file.path}: bad header; expected "{CSV_HEADER}"')
-    samples = []
+    raw = Path(file.path).read_bytes()
+    columns = _fast_columns(raw)
+    if columns is not None:
+        try:
+            return _dataset(columns, file.path)
+        except IntegrityError:
+            pass
+    return _dataset(_row_columns(raw, file.path), file.path)
+
+
+def _dataset(columns: dict[str, np.ndarray], path) -> Dataset:
+    if len(columns["height"]) == 0:
+        raise IntegrityError(f"{path}: dataset file has no rows")
+    return Dataset.from_columns(columns)
+
+
+def _fast_columns(raw: bytes) -> dict[str, np.ndarray] | None:
+    """Columns of a file of plain digits, commas and LFs, or None to use the row reader.
+
+    numpy rejects empty fields, ragged rows and values outside int64, and
+    skips blank lines as the row reader does.
+    """
+    header = CSV_HEADER.encode() + b"\n"
+    body = raw[len(header):]
+    if not raw.startswith(header) or body.translate(None, b"0123456789,\n"):
+        return None
+    if not body.strip(b"\n"):
+        return {c: np.empty(0, dtype=np.int64) for c in COLUMNS}
+    try:
+        table = np.loadtxt(io.BytesIO(body), dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return dict(zip(COLUMNS, table.T)) if table.shape[1] == len(COLUMNS) else None
+
+
+def _row_columns(raw: bytes, path) -> dict[str, np.ndarray]:
+    """Parse and validate the file one row at a time, naming the first bad line."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8: {exc}") from exc
+    # Line ends as text-mode reading gives them: CRLF and CR count as LF.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[0] != CSV_HEADER:
+        raise FormatError(f'{path}: bad header; expected "{CSV_HEADER}"')
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if line == "":
             continue
         parts = line.split(",")
-        if len(parts) != 8:
-            raise FormatError(f"{file.path}:{lineno}: expected 8 fields, got {len(parts)}")
+        if len(parts) != len(COLUMNS):
+            raise FormatError(f"{path}:{lineno}: expected {len(COLUMNS)} fields, got {len(parts)}")
+        values = [_parse_field(part, f"{path}:{lineno}") for part in parts]
         try:
-            values = [int(part) for part in parts]
-        except ValueError as exc:
-            raise FormatError(f"{file.path}:{lineno}: non-integer field: {exc}") from exc
-        height, size_bytes, n_in, n_out, n_spend, n_output, n_js, time_us = values
-        try:
-            samples.append(
-                VerificationSample(
-                    features=BlockFeatures(
-                        height=height,
-                        size_bytes=size_bytes,
-                        n_transparent_in=n_in,
-                        n_transparent_out=n_out,
-                        n_spend=n_spend,
-                        n_output=n_output,
-                        n_joinsplit=n_js,
-                    ),
-                    verify_time_us=time_us,
-                )
-            )
+            VerificationSample(features=BlockFeatures(*values[:-1]), verify_time_us=values[-1])
         except IntegrityError as exc:
-            raise IntegrityError(f"{file.path}:{lineno}: {exc}") from exc
-    if not samples:
-        raise IntegrityError(f"{file.path}: dataset file has no rows")
-    return Dataset.from_samples(samples)
+            raise IntegrityError(f"{path}:{lineno}: {exc}") from exc
+        rows.append(values)
+    table = np.array(rows, dtype=np.int64).reshape(-1, len(COLUMNS))
+    return dict(zip(COLUMNS, table.T))
+
+
+def _parse_field(part: str, where: str) -> int:
+    if _FIELD.fullmatch(part):
+        value = int(part)
+        if _INT64.min <= value <= _INT64.max:
+            return value
+        raise FormatError(f"{where}: field {part} is outside the int64 range")
+    try:
+        int(part)
+    except ValueError as exc:
+        raise FormatError(f"{where}: non-integer field: {exc}") from exc
+    raise FormatError(f"{where}: field {part!r} is not plain base-10 digits")

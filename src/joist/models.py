@@ -15,13 +15,16 @@ evaluation metrics downstream.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Mapping
 
+import numpy as np
+
 from .errors import FormatError, IntegrityError
-from .features import BlockFeatures
+from .features import FEATURE_COLUMNS, BlockFeatures, Dataset
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -72,23 +75,22 @@ GERVAIS_BASELINE = ModelSpec(ModelKind.FIXED_RATE, {"byte": 0.3796}, 0.0)
 
 def predictor_vector(kind: ModelKind, block: BlockFeatures) -> list[float]:
     """The block's predictor values in the fixed per-kind order."""
-    if kind is ModelKind.JOIST:
-        return [
-            float(block.n_joinsplit),
-            float(block.n_output),
-            float(block.n_transparent_in),
-            float(block.n_spend),
-        ]
-    return [float(block.size_bytes)]
+    return [float(getattr(block, FEATURE_COLUMNS[name])) for name in PREDICTORS[kind]]
 
 
-def predict(model: ModelSpec, block: BlockFeatures) -> float:
-    """Predicted verification time in microseconds (unclamped)."""
-    values = predictor_vector(model.kind, block)
+def predict(model: ModelSpec, data: BlockFeatures | Dataset) -> float | np.ndarray:
+    """Predicted verification time in microseconds (unclamped).
+
+    For one block this is a float; for a dataset, a float64 array with one
+    prediction per row. Both accumulate ``c * x`` in predictor order and add
+    the intercept last, so a row's prediction is bit-identical either way.
+    """
     total = 0.0
-    for name, value in zip(PREDICTORS[model.kind], values):
-        total += model.coefficients[name] * value
-    return total + model.intercept_us
+    for name in PREDICTORS[model.kind]:
+        values = np.asarray(getattr(data, FEATURE_COLUMNS[name]), dtype=np.float64)
+        total = total + model.coefficients[name] * values
+    total = total + model.intercept_us
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def to_json_dict(model: ModelSpec) -> dict:
@@ -100,6 +102,18 @@ def to_json_dict(model: ModelSpec) -> dict:
     }
 
 
+def finite_float(value, message: str) -> float:
+    """*value* as a float if it is a finite JSON number; else FormatError(*message*)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise FormatError(message)
+
+
 def from_json_dict(doc: Mapping) -> ModelSpec:
     if not isinstance(doc, Mapping):
         raise FormatError("model document must be a JSON object")
@@ -108,30 +122,36 @@ def from_json_dict(doc: Mapping) -> ModelSpec:
         raise FormatError(f"unsupported model schema_version {version!r}")
     try:
         kind = ModelKind(doc["kind"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"unknown model kind: {doc.get('kind')!r}") from exc
     coefficients = doc.get("coefficients")
     if not isinstance(coefficients, Mapping):
         raise FormatError('model document missing "coefficients" object')
-    intercept = doc.get("intercept_us")
-    if not isinstance(intercept, (int, float)) or isinstance(intercept, bool):
-        raise FormatError('model document missing numeric "intercept_us"')
-    coeffs: dict[str, float] = {}
-    for name, value in coefficients.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise FormatError(f"coefficient {name!r} must be a number")
-        coeffs[str(name)] = float(value)
-    return ModelSpec(kind=kind, coefficients=coeffs, intercept_us=float(intercept))
+    intercept = finite_float(doc.get("intercept_us"), 'model document missing finite numeric "intercept_us"')
+    coeffs = {
+        str(name): finite_float(value, f"coefficient {name!r} must be a finite number")
+        for name, value in coefficients.items()
+    }
+    return ModelSpec(kind=kind, coefficients=coeffs, intercept_us=intercept)
 
 
 def save_model(model: ModelSpec, path: str | Path) -> None:
-    """Write the model as JSON (full shortest-round-trip float precision)."""
-    Path(path).write_text(json.dumps(to_json_dict(model)) + "\n", encoding="utf-8")
+    """Write the model as JSON (full shortest-round-trip float precision).
+
+    Raises:
+        FormatError: if a coefficient or the intercept is not finite; JSON
+            has no literal for it and nothing is written.
+    """
+    try:
+        text = json.dumps(to_json_dict(model), allow_nan=False)
+    except ValueError as exc:
+        raise FormatError(f"{path}: model has a non-finite value: {exc}") from exc
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_model(path: str | Path) -> ModelSpec:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     return from_json_dict(doc)

@@ -10,11 +10,20 @@ platform. The derivations are pinned exactly:
 * gaussians use Box-Muller cosine form, consuming two raw draws per value,
 * shuffles are modern Fisher-Yates, swapping index i (from n-1 down to 1)
   with ``next_below(i + 1)``.
+
+SplitMix64 is counter-based (Steele, Lea & Flood, "Fast Splittable
+Pseudorandom Number Generators", OOPSLA 2014): the state only ever advances by
+the constant gamma, so the k-th output after state ``s`` is
+``mix(s + k * gamma mod 2**64)``, independent of every other output.
+:meth:`SplitMix64.next_block` uses that to draw a whole block of outputs as
+one numpy computation, bit-identical to the same number of scalar draws.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -39,6 +48,22 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
+    def next_block(self, n: int) -> np.ndarray:
+        """The next *n* outputs as a uint64 array, equal to *n* next_uint64() calls."""
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        # uint64 array arithmetic wraps modulo 2**64, as the generator requires.
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._state)
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
+
     def next_below(self, n: int) -> int:
         """Uniform-ish integer in [0, n)."""
         if n <= 0:
@@ -53,19 +78,37 @@ class SplitMix64:
 
     def next_unit(self) -> float:
         """Float in (0, 1], with 53 bits of resolution."""
-        return ((self.next_uint64() >> 11) + 1) * 2.0**-53
+        return float(unit_floats(self.next_block(1))[0])
 
     def next_gaussian(self) -> float:
         """Standard normal draw (Box-Muller, cosine branch; two raw draws)."""
-        u1 = self.next_unit()
-        u2 = self.next_unit()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        u1, u2 = self.next_block(2)
+        return float(gaussians(u1[None], u2[None])[0])
+
+
+def unit_floats(words: np.ndarray) -> np.ndarray:
+    """Floats in (0, 1] from raw uint64 draws: the top 53 bits, plus one, times 2**-53."""
+    return ((words >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+
+
+def gaussians(words1: np.ndarray, words2: np.ndarray) -> np.ndarray:
+    """Box-Muller (cosine branch) normals, one per pair of raw draws.
+
+    The logarithm and cosine are libm's, one element at a time: numpy's own
+    differ from them in the last bit for a few values in 1,000.
+    """
+    logs = np.array(list(map(math.log, unit_floats(words1).tolist())))
+    cosines = np.array(list(map(math.cos, (2.0 * math.pi * unit_floats(words2)).tolist())))
+    return np.sqrt(-2.0 * logs) * cosines
 
 
 def shuffled_indices(n: int, rng: SplitMix64) -> list[int]:
     """Fisher-Yates permutation of range(n) driven by *rng*."""
     indices = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = rng.next_below(i + 1)
+    # The swap partner of i (from n-1 down to 1) is draw % (i + 1); the draws
+    # are independent of the swaps, so they come as one block.
+    bounds = np.arange(n, 1, -1, dtype=np.uint64)
+    partners = (rng.next_block(len(bounds)) % bounds).tolist()
+    for i, j in zip(range(n - 1, 0, -1), partners):
         indices[i], indices[j] = indices[j], indices[i]
     return indices

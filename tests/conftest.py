@@ -189,6 +189,9 @@ def _plain_tx(n_in=0, n_out=0, n_spend=0, n_output=0, n_js=0):
 
 
 # height -> block record; 103 deliberately lacks its "size" field.
+# getblockhash for STRING_ERROR_HEIGHT answers with an "error" that is a bare
+# string rather than an object.
+STRING_ERROR_HEIGHT = 104
 TEST_CHAIN = {
     100: {"size": 285, "tx": [_coinbase_tx(n_out=2)]},
     101: {"size": 1523, "tx": [_coinbase_tx(), _plain_tx(n_in=2, n_out=3, n_spend=1, n_output=4)]},
@@ -228,7 +231,9 @@ class _RpcHandler(BaseHTTPRequestHandler):
         method, params, req_id = request["method"], request["params"], request.get("id")
         if method == "getblockhash":
             height = params[0]
-            if height in TEST_CHAIN:
+            if height == STRING_ERROR_HEIGHT:
+                self._reply(500, None, "internal failure", req_id)
+            elif height in TEST_CHAIN:
                 self._reply(200, f"blockhash{height}", None, req_id)
             else:
                 self._reply(500, None, {"code": -8, "message": "Block height out of range"}, req_id)

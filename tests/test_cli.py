@@ -8,7 +8,7 @@ from joist import DatasetFile, ModelKind, ModelSpec, load_model, read_dataset, s
 from joist.cli import main
 from joist.ingest import CSV_HEADER
 
-from conftest import RPC_PASS, RPC_USER, make_dataset
+from conftest import RPC_PASS, RPC_USER, STRING_ERROR_HEIGHT, make_dataset
 from joist import write_dataset
 
 _TRUTH = ModelSpec(
@@ -220,6 +220,49 @@ def test_bad_header_is_data_error(tmp_path, capsys):
     assert CSV_HEADER in capsys.readouterr().err
 
 
+def test_undecodable_data_file_is_data_error(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(CSV_HEADER.encode() + b"\n1,2,0,0,0,0,0,\xe9\n")
+    assert main(["correlate", "--data", str(path)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+def test_non_finite_model_values_are_data_errors(tmp_path, synth_data, capsys, value):
+    model_path = tmp_path / "m.json"
+    model_path.write_text(
+        '{"kind": "block_size", "coefficients": {"byte": 1.5}, "intercept_us": %s, "schema_version": 1}' % value
+    )
+    assert main(["evaluate", "--model", str(model_path), "--data", str(synth_data)]) == 2
+    assert "intercept_us" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "noise, message",
+    [
+        ("NaN", "noise_sigma_us"),
+        ("Infinity", "noise_sigma_us"),
+        ("1" + "0" * 400, "noise_sigma_us"),
+        ("1e308", "drawn verify_time_us"),
+    ],
+)
+def test_synth_non_finite_or_overflowing_noise_is_data_error(tmp_path, capsys, noise, message):
+    spec_path = tmp_path / "spec.json"
+    _write_synth_spec(spec_path, n_blocks=50)
+    spec_path.write_text(spec_path.read_text().replace('"noise_sigma_us": 0.0', f'"noise_sigma_us": {noise}'))
+    out = tmp_path / "data.csv"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_undecodable_spec_is_data_error(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(b'{"n_blocks": "\xff"}')
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "d.csv")]) == 2
+    capsys.readouterr()
+
+
 def test_usage_errors(capsys):
     assert main([]) == 1
     assert main(["fit", "--bogus"]) == 1
@@ -279,3 +322,11 @@ def test_fetch_unreachable_node_is_remote_error(monkeypatch, tmp_path, closed_po
     code = main(["fetch", "--from", "100", "--to", "100", "--out", str(tmp_path / "f.csv")])
     assert code == 3
     capsys.readouterr()
+
+
+def test_fetch_non_object_rpc_error_is_remote_error(monkeypatch, tmp_path, rpc_server, capsys):
+    _set_rpc_env(monkeypatch, rpc_server)
+    h = str(STRING_ERROR_HEIGHT)
+    code = main(["fetch", "--from", h, "--to", h, "--out", str(tmp_path / "f.csv")])
+    assert code == 3
+    assert "malformed RPC error" in capsys.readouterr().err

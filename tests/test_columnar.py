@@ -1,0 +1,162 @@
+"""Column operations against the per-row loops they replaced.
+
+Each reference below is the row-at-a-time definition, kept here verbatim in
+spirit. The arithmetic per element is unchanged, so results must be equal,
+not merely close.
+"""
+
+from __future__ import annotations
+
+import random
+from math import fsum, sqrt
+
+import numpy as np
+import pytest
+
+from joist import (
+    Dataset,
+    ModelKind,
+    ModelSpec,
+    SplitPlan,
+    composition_analysis,
+    correlation_table,
+    generate_synthetic,
+    pearson_r,
+    predict,
+    predictor_vector,
+    r_squared,
+    split,
+)
+from joist.fit import design_matrix
+from joist.models import PREDICTORS
+from joist.rng import SplitMix64, shuffled_indices
+
+from conftest import REFERENCE_BLOCK_SIZE, REFERENCE_JOIST, default_synth_spec, make_dataset
+
+_SYNTH_BYTES = {"joinsplit": 1802, "output": 948, "transparent_in": 150, "spend": 384}
+
+
+def _reference_synthetic(spec) -> list[tuple]:
+    """generate_synthetic's rows, one block and eight scalar draws at a time."""
+    names = PREDICTORS[ModelKind.JOIST]
+    coeffs = spec.true_model.coefficients
+    rng = SplitMix64(spec.seed)
+    rows = []
+    for height in range(1, spec.n_blocks + 1):
+        counts = {name: rng.next_int(*spec.count_ranges[name]) for name in names}
+        exact = spec.true_model.intercept_us + sum(coeffs[n] * counts[n] for n in names)
+        time_noise = rng.next_gaussian() * spec.noise_sigma_us
+        affine_size = 1000 + sum(_SYNTH_BYTES[n] * counts[n] for n in names)
+        size_noise = rng.next_gaussian() * 0.05 * affine_size
+        rows.append(
+            (
+                height,
+                max(1, round(affine_size + size_noise)),
+                counts["transparent_in"],
+                counts["transparent_in"] + 1,
+                counts["spend"],
+                counts["output"],
+                counts["joinsplit"],
+                max(1, round(exact + time_noise)),
+            )
+        )
+    return rows
+
+
+def _rows(ds: Dataset) -> list[tuple]:
+    return [
+        (f.height, f.size_bytes, f.n_transparent_in, f.n_transparent_out, f.n_spend, f.n_output, f.n_joinsplit, t)
+        for f, t in ((s.features, s.verify_time_us) for s in ds)
+    ]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(n_blocks=3000, noise_sigma_us=2000.0, seed=7),
+        dict(n_blocks=500, noise_sigma_us=0.0, seed=0),
+        dict(n_blocks=500, noise_sigma_us=1e5, seed=(1 << 64) - 1),
+        dict(
+            n_blocks=400,
+            noise_sigma_us=3.5,
+            seed=123,
+            true_model=ModelSpec(
+                ModelKind.JOIST,
+                {"joinsplit": 5359.094, "output": -5726.675, "transparent_in": 61.411, "spend": 16912.591},
+                4468.949,
+            ),
+            count_ranges={"joinsplit": (0, 0), "output": (3, 9), "transparent_in": (7, 10**6), "spend": (1, 2)},
+        ),
+    ],
+)
+def test_generate_synthetic_matches_the_per_row_loop(overrides):
+    spec = default_synth_spec(**overrides)
+    assert _rows(generate_synthetic(spec)) == _reference_synthetic(spec)
+
+
+@pytest.fixture(scope="module")
+def noisy() -> Dataset:
+    return generate_synthetic(default_synth_spec(n_blocks=2000, noise_sigma_us=2500.0, seed=3))
+
+
+@pytest.mark.parametrize("model", [*REFERENCE_JOIST.values(), *REFERENCE_BLOCK_SIZE.values()])
+def test_predict_on_a_dataset_matches_per_block_predict(noisy, model):
+    column = predict(model, noisy)
+    assert column.dtype == np.float64
+    assert column.tolist() == [predict(model, s.features) for s in noisy]
+
+
+@pytest.mark.parametrize("kind", [ModelKind.JOIST, ModelKind.BLOCK_SIZE])
+def test_design_matrix_matches_per_row_predictor_vectors(noisy, kind):
+    x, y = design_matrix(kind, noisy)
+    rows = [predictor_vector(kind, s.features) + [1.0] for s in noisy]
+    assert np.array_equal(x, np.array(rows, dtype=np.float64))
+    assert y.tolist() == [float(s.verify_time_us) for s in noisy]
+
+
+def test_split_matches_per_row_selection(noisy):
+    plan = SplitPlan(seed=17, n_fit=700, n_predict=1300)
+    order = shuffled_indices(len(noisy), SplitMix64(plan.seed))
+    samples = list(noisy)
+    fit_set, predict_set = split(noisy, plan)
+    assert fit_set == Dataset(tuple(samples[i] for i in sorted(order[: plan.n_fit])))
+    assert predict_set == Dataset(tuple(samples[i] for i in sorted(order[plan.n_fit :])))
+
+
+def test_composition_matches_per_block_division():
+    rng = random.Random(5)
+    rows = [(h, 100, rng.randrange(4), 0, rng.randrange(3), rng.randrange(3), rng.randrange(2), 10) for h in range(1, 300)]
+    report = composition_analysis(make_dataset(rows))
+    expected = []
+    for h, _, n_in, _, n_spend, n_output, n_js, _ in rows:
+        denom = n_in + n_spend + n_output + n_js
+        if denom:
+            expected.append((h, n_in / denom, (n_spend + n_output) / denom, n_js / denom))
+    assert [tuple(b) for b in report.per_block] == expected
+    assert report.n_excluded == len(rows) - len(expected)
+    assert report.mean_transparent_in == fsum(e[1] for e in expected) / len(expected)
+    assert report.mean_joinsplit == fsum(e[3] for e in expected) / len(expected)
+
+
+def _reference_pearson(x, t):
+    n = len(x)
+    x_mean, t_mean = fsum(x) / n, fsum(t) / n
+    sxx = fsum((xi - x_mean) ** 2 for xi in x)
+    stt = fsum((ti - t_mean) ** 2 for ti in t)
+    sxt = fsum((xi - x_mean) * (ti - t_mean) for xi, ti in zip(x, t))
+    return sxt / (sqrt(sxx) * sqrt(stt))
+
+
+def test_statistics_match_the_per_element_formulas(noisy):
+    t = [float(v) for v in noisy.times_us()]
+    for name, r in correlation_table(noisy).items():
+        x = [float(getattr(s.features, "n_" + name)) for s in noisy]
+        assert r == _reference_pearson(x, t)
+    t_hat = [predict(REFERENCE_JOIST["ssd_5k"], s.features) for s in noisy]
+    t_mean = fsum(t) / len(t)
+    ss_res = fsum((ti - hi) ** 2 for ti, hi in zip(t, t_hat))
+    ss_tot = fsum((ti - t_mean) ** 2 for ti in t)
+    assert r_squared(t, t_hat) == 1.0 - ss_res / ss_tot
+    assert pearson_r(noisy.n_joinsplit, noisy.verify_time_us).r == _reference_pearson(
+        [float(v) for v in noisy.n_joinsplit.tolist()], t
+    )

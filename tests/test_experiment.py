@@ -341,3 +341,23 @@ def test_plot_data_constant_predictions_error(tmp_path):
     model = ModelSpec(ModelKind.FIXED_RATE, {"byte": 1.0}, 0.0)
     with pytest.raises(RankDeficiencyError):
         emit_plot_data(ds, model, tmp_path / "plot.csv")
+
+
+def test_synth_spec_rejects_non_finite_values():
+    with pytest.raises(SynthSpecError, match="noise_sigma_us"):
+        default_synth_spec(noise_sigma_us=float("nan"))
+    with pytest.raises(SynthSpecError, match="noise_sigma_us"):
+        default_synth_spec(noise_sigma_us=float("inf"))
+    coefficients = {"joinsplit": 1.0, "output": 1.0, "transparent_in": float("inf"), "spend": 1.0}
+    with pytest.raises(SynthSpecError, match="finite"):
+        default_synth_spec(true_model=ModelSpec(ModelKind.JOIST, coefficients, 1.0))
+    with pytest.raises(SynthSpecError, match="finite"):
+        default_synth_spec(true_model=ModelSpec(ModelKind.JOIST, dict(coefficients, transparent_in=1.0), float("nan")))
+
+
+def test_synthetic_rejects_draws_beyond_int64():
+    with pytest.raises(SynthSpecError, match="verify_time_us"):
+        generate_synthetic(default_synth_spec(noise_sigma_us=1e300, n_blocks=20))
+    huge = {"joinsplit": (0, 1), "output": (0, 1), "transparent_in": (0, 2**62), "spend": (0, 1)}
+    with pytest.raises(SynthSpecError, match="int64"):
+        generate_synthetic(default_synth_spec(count_ranges=huge, n_blocks=20))

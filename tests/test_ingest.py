@@ -19,7 +19,14 @@ from joist import (
 )
 from joist.ingest import CSV_HEADER
 
-from conftest import RPC_PASS, RPC_USER, TEST_CHAIN_EXPECTED, make_block, make_dataset
+from conftest import (
+    RPC_PASS,
+    RPC_USER,
+    STRING_ERROR_HEIGHT,
+    TEST_CHAIN_EXPECTED,
+    make_block,
+    make_dataset,
+)
 
 _ROWS = [
     (100, 285, 0, 2, 0, 0, 0, 1807),
@@ -116,6 +123,59 @@ def test_read_sorts_unsorted_rows(tmp_path):
     assert read_dataset(DatasetFile(path)).heights() == [100, 102]
 
 
+@pytest.mark.parametrize("field", ["1_000", " +5", "+5", "5 ", "\u0665", "0x10"])
+def test_read_rejects_lenient_integer_fields(tmp_path, field):
+    path = tmp_path / "ds.csv"
+    path.write_text(CSV_HEADER + f"\n100,285,0,2,0,0,0,1807\n101,{field},0,2,0,0,0,1807\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="ds.csv:3: "):
+        read_dataset(DatasetFile(path))
+
+
+@pytest.mark.parametrize("value", [str(2**63), "99999999999999999999", str(-(2**63) - 1)])
+def test_read_rejects_values_outside_int64(tmp_path, value):
+    path = tmp_path / "ds.csv"
+    path.write_text(CSV_HEADER + f"\n100,285,0,2,0,0,0,{value}\n")
+    with pytest.raises(FormatError, match="ds.csv:2: .*int64"):
+        read_dataset(DatasetFile(path))
+
+
+def test_read_accepts_int64_extremes(tmp_path):
+    top = 2**63 - 1
+    path = tmp_path / "ds.csv"
+    path.write_text(CSV_HEADER + f"\n{top},{top},{top},{top},{top},{top},{top},{top}\n")
+    ds = read_dataset(DatasetFile(path))
+    assert ds.heights() == [top] and ds.times_us() == [top]
+
+
+def test_read_negative_count_is_integrity_error_naming_the_line(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text(CSV_HEADER + "\n100,285,0,2,0,0,0,1807\n101,285,0,2,-1,0,0,1807\n")
+    with pytest.raises(IntegrityError, match=r"ds.csv:3: n_spend must be >= 0, got -1"):
+        read_dataset(DatasetFile(path))
+
+
+def test_read_rejects_invalid_utf8(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_bytes(CSV_HEADER.encode() + b"\n100,285,0,2,0,0,0,18\xff7\n")
+    with pytest.raises(FormatError, match="UTF-8"):
+        read_dataset(DatasetFile(path))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "100,285,0,2,0,0,0,1807\n101,1523,2,4,1,4,0,95321",  # no final LF
+        "100,285,0,2,0,0,0,1807\n\n101,1523,2,4,1,4,0,95321\n\n",  # blank lines
+        "100,285,0,2,0,0,0,1807\r\n101,1523,2,4,1,4,0,95321\r\n",  # CRLF
+        "0100,285,0,2,0,0,0,1807\n101,1523,2,4,1,4,0,95321\n",  # leading zero
+    ],
+)
+def test_read_accepts_other_line_layouts(tmp_path, body):
+    path = tmp_path / "ds.csv"
+    path.write_bytes((CSV_HEADER + "\n" + body).encode())
+    assert read_dataset(DatasetFile(path)) == make_dataset(_ROWS[:2])
+
+
 def test_write_features_csv_zero_fills_times(tmp_path):
     path = tmp_path / "features.csv"
     blocks = [make_block(height=102, size_bytes=20), make_block(height=101, size_bytes=10)]
@@ -190,7 +250,26 @@ def test_fetch_bad_credentials(rpc_server):
         fetch_block_features(endpoint, (100, 100))
 
 
+def test_fetch_non_object_rpc_error(rpc_server):
+    with pytest.raises(RpcConnectionError, match="malformed RPC error"):
+        fetch_block_features(_endpoint(rpc_server), (STRING_ERROR_HEIGHT, STRING_ERROR_HEIGHT))
+
+
+def test_block_size_beyond_int64_is_a_parse_error():
+    from joist.ingest import _block_features_from_record
+
+    record = {"size": 2**63, "tx": [{"vin": [{"coinbase": "00"}], "vout": []}]}
+    with pytest.raises(ParseError, match="int64"):
+        _block_features_from_record(record, 7)
+
+
 def test_fetch_unreachable_node(closed_port_url):
     endpoint = _endpoint(closed_port_url, timeout=2.0)
     with pytest.raises(RpcConnectionError):
         fetch_block_features(endpoint, (100, 100))
+
+
+def test_times_beyond_int64_cannot_be_serialized(tmp_path):
+    ds = Dataset((VerificationSample(features=make_block(), verify_time_us=2.0**63),))
+    with pytest.raises(FormatError, match="int64"):
+        write_dataset(ds, DatasetFile(tmp_path / "bad.csv"))

@@ -205,3 +205,29 @@ def test_model_json_rejects_bad_documents(tmp_path):
     )
     with pytest.raises(FormatError):
         load_model(path)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_model_json_rejects_non_finite_numbers(tmp_path, literal):
+    path = tmp_path / "model.json"
+    path.write_text(
+        '{"kind": "joist", "coefficients": {"joinsplit": %s, "output": 1, "transparent_in": 1, "spend": 1},'
+        ' "intercept_us": 0, "schema_version": 1}' % literal
+    )
+    with pytest.raises(FormatError, match="joinsplit"):
+        load_model(path)
+
+
+def test_model_json_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b'{"kind": "\xff"}')
+    with pytest.raises(FormatError):
+        load_model(path)
+
+
+def test_save_model_refuses_non_finite_values(tmp_path):
+    path = tmp_path / "model.json"
+    model = ModelSpec(ModelKind.BLOCK_SIZE, {"byte": float("nan")}, 0.0)
+    with pytest.raises(FormatError, match="non-finite"):
+        save_model(model, path)
+    assert not path.exists()

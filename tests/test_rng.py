@@ -90,3 +90,54 @@ def test_shuffled_indices_is_deterministic_permutation():
 def test_shuffled_indices_trivial_sizes():
     assert shuffled_indices(0, SplitMix64(1)) == []
     assert shuffled_indices(1, SplitMix64(1)) == [0]
+
+
+# -- block draws against the scalar generator ---------------------------------
+
+def _scalar_shuffle(n, rng):
+    """The Fisher-Yates loop with one scalar draw per swap (the reference)."""
+    indices = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        indices[i], indices[j] = indices[j], indices[i]
+    return indices
+
+
+def test_block_draws_match_scalar_draws_over_a_million_words():
+    n = 1 << 20
+    scalar = SplitMix64(0xDEADBEEF)
+    expected = [scalar.next_uint64() for _ in range(n)]
+    assert SplitMix64(0xDEADBEEF).next_block(n).tolist() == expected
+
+
+def test_block_draws_continue_the_scalar_state():
+    # Interleave blocks of many sizes (including 0 and 1) with scalar draws,
+    # starting near the top of the state space so the counter wraps.
+    seed = (1 << 64) - 5
+    reference, mixed = SplitMix64(seed), SplitMix64(seed)
+    for size in (0, 1, 2, 3, 7, 64, 1000, 1, 0, 4097):
+        assert mixed.next_block(size).tolist() == [reference.next_uint64() for _ in range(size)]
+        assert mixed.next_uint64() == reference.next_uint64()
+
+
+def test_block_draws_reject_negative_sizes():
+    with pytest.raises(ValueError):
+        SplitMix64(1).next_block(-1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 1000])
+def test_shuffled_indices_match_the_scalar_loop(n):
+    rng, reference = SplitMix64(99), SplitMix64(99)
+    assert shuffled_indices(n, rng) == _scalar_shuffle(n, reference)
+    # Both leave the generator in the same state.
+    assert rng.next_uint64() == reference.next_uint64()
+
+
+def test_unit_and_gaussian_draws_match_the_scalar_formulas():
+    rng, reference = SplitMix64(4242), SplitMix64(4242)
+    for _ in range(2000):
+        u1 = ((reference.next_uint64() >> 11) + 1) * 2.0**-53
+        assert rng.next_unit() == u1
+        u1 = ((reference.next_uint64() >> 11) + 1) * 2.0**-53
+        u2 = ((reference.next_uint64() >> 11) + 1) * 2.0**-53
+        assert rng.next_gaussian() == math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
