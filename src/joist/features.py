@@ -17,10 +17,10 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .errors import IntegrityError, ParseError
+
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
-
-from .errors import IntegrityError, ParseError
 
 # The dataset fields in CSV order; each is a Dataset column and (but for the
 # time) a BlockFeatures attribute.

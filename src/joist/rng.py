@@ -94,8 +94,9 @@ def unit_floats(words: np.ndarray) -> np.ndarray:
 def gaussians(words1: np.ndarray, words2: np.ndarray) -> np.ndarray:
     """Box-Muller (cosine branch) normals, one per pair of raw draws.
 
-    The logarithm and cosine are libm's, one element at a time: numpy's own
-    differ from them in the last bit for a few values in 1,000.
+    The logarithm and cosine are libm's, one element at a time: numpy's log
+    differs from libm's in the last bit for a few values in 1,000, and
+    nothing ties numpy's cos to libm's either.
     """
     logs = np.array(list(map(math.log, unit_floats(words1).tolist())))
     cosines = np.array(list(map(math.cos, (2.0 * math.pi * unit_floats(words2)).tolist())))

@@ -16,10 +16,10 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from .errors import DegenerateDataError, DegenerateVarianceError, SampleCountError, ShapeError
+
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
-
-from .errors import DegenerateDataError, DegenerateVarianceError, SampleCountError, ShapeError
 
 
 def _floats(x: ArrayLike) -> np.ndarray:

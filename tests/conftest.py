@@ -188,10 +188,11 @@ def _plain_tx(n_in=0, n_out=0, n_spend=0, n_output=0, n_js=0):
     return tx
 
 
-# height -> block record; 103 deliberately lacks its "size" field.
 # getblockhash for STRING_ERROR_HEIGHT answers with an "error" that is a bare
 # string rather than an object.
 STRING_ERROR_HEIGHT = 104
+
+# height -> block record; 103 deliberately lacks its "size" field.
 TEST_CHAIN = {
     100: {"size": 285, "tx": [_coinbase_tx(n_out=2)]},
     101: {"size": 1523, "tx": [_coinbase_tx(), _plain_tx(n_in=2, n_out=3, n_spend=1, n_output=4)]},
