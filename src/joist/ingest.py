@@ -17,15 +17,16 @@ height.
 from __future__ import annotations
 
 import io
+import json
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
-import requests
 
 from .errors import (
     FormatError,
@@ -82,30 +83,50 @@ class DatasetFile:
 
 def _rpc_call(endpoint: RpcEndpoint, method: str, params: list):
     """One JSON-RPC 1.0 request; returns the result or raises."""
-    payload = {"jsonrpc": "1.0", "id": "joist", "method": method, "params": params}
+    # Imported on first use: http.client, ssl and email add ~40 ms to every other command's start.
+    import base64
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    url = endpoint.url
     try:
-        response = requests.post(
-            endpoint.url,
-            json=payload,
-            auth=(endpoint.username, endpoint.password),
-            timeout=endpoint.timeout,
-        )
-    except requests.RequestException as exc:
-        raise RpcConnectionError(f"cannot reach node at {endpoint.url}: {exc}") from exc
-    if response.status_code in (401, 403):
-        raise RpcConnectionError(f"authentication rejected by {endpoint.url}")
-    try:
-        body = response.json()
+        parts = urlsplit(url)
+        parts.port  # raises for a port that is not a number in 0..65535
     except ValueError as exc:
-        raise RpcConnectionError(
-            f"non-JSON response from {endpoint.url} (HTTP {response.status_code})"
-        ) from exc
+        raise RpcConnectionError(f"invalid node URL {url!r}: {exc}") from exc
+    if parts.scheme not in ("http", "https"):
+        raise RpcConnectionError(f"node URL must start with http:// or https://, got {url!r}")
+    if "@" in parts.netloc:  # user:pass@ in the URL is dropped; the endpoint's credentials are sent
+        parts = parts._replace(netloc=parts.netloc.rpartition("@")[2])
+    payload = {"jsonrpc": "1.0", "id": "joist", "method": method, "params": params}
+    request = urllib.request.Request(
+        parts.geturl(), data=json.dumps(payload).encode(), headers={"Content-Type": "application/json"}
+    )
+    # RFC 7617: the credentials are UTF-8; unredirected, so a redirect never carries them.
+    credentials = base64.b64encode(f"{endpoint.username}:{endpoint.password}".encode()).decode()
+    request.add_unredirected_header("Authorization", "Basic " + credentials)
+    try:
+        try:
+            response = urllib.request.urlopen(request, timeout=endpoint.timeout)
+        except urllib.error.HTTPError as exc:
+            response = exc  # an HTTP error status still carries the node's reply
+        with response:
+            status, raw = response.status, response.read()
+    except (OSError, ValueError, http.client.HTTPException) as exc:
+        raise RpcConnectionError(f"cannot reach node at {url}: {exc}") from exc
+    if status in (401, 403):
+        raise RpcConnectionError(f"authentication rejected by {url}")
+    try:
+        body = json.loads(raw)
+    except ValueError as exc:
+        raise RpcConnectionError(f"non-JSON response from {url} (HTTP {status})") from exc
     if not isinstance(body, Mapping):
-        raise RpcConnectionError(f"malformed RPC response from {endpoint.url}")
+        raise RpcConnectionError(f"malformed RPC response from {url}")
     error = body.get("error")
     if error:
         if not isinstance(error, Mapping):
-            raise RpcConnectionError(f"malformed RPC error from {endpoint.url}: {error!r}")
+            raise RpcConnectionError(f"malformed RPC error from {url}: {error!r}")
         # Callers translate method-specific errors; anything else is remote trouble.
         raise _RpcServerError(error.get("code"), error.get("message", ""))
     return body.get("result")

@@ -191,6 +191,12 @@ def _plain_tx(n_in=0, n_out=0, n_spend=0, n_output=0, n_js=0):
 # getblockhash for STRING_ERROR_HEIGHT answers with an "error" that is a bare
 # string rather than an object.
 STRING_ERROR_HEIGHT = 104
+# getblockhash for TRUNCATED_HEIGHT announces a longer body than it sends and
+# closes the connection.
+TRUNCATED_HEIGHT = 105
+# getblockhash for BAD_GATEWAY_HEIGHT answers HTTP 502 with an HTML page, as a
+# reverse proxy in front of a stopped node does.
+BAD_GATEWAY_HEIGHT = 106
 
 # height -> block record; 103 deliberately lacks its "size" field.
 TEST_CHAIN = {
@@ -214,9 +220,12 @@ class _RpcHandler(BaseHTTPRequestHandler):
 
     def _reply(self, status, result, error, req_id):
         body = json.dumps({"result": result, "error": error, "id": req_id}).encode()
+        self._send(status, body)
+
+    def _send(self, status, body, content_type="application/json", extra_length=0):
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body) + extra_length))
         self.end_headers()
         self.wfile.write(body)
 
@@ -234,6 +243,10 @@ class _RpcHandler(BaseHTTPRequestHandler):
             height = params[0]
             if height == STRING_ERROR_HEIGHT:
                 self._reply(500, None, "internal failure", req_id)
+            elif height == TRUNCATED_HEIGHT:
+                self._send(200, b'{"result": "blockhash', extra_length=10)
+            elif height == BAD_GATEWAY_HEIGHT:
+                self._send(502, b"<html><body><h1>502 Bad Gateway</h1></body></html>", "text/html")
             elif height in TEST_CHAIN:
                 self._reply(200, f"blockhash{height}", None, req_id)
             else:

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import joist
 
 from joist import DatasetFile, ModelKind, ModelSpec, load_model, read_dataset, save_model
 from joist.cli import main
@@ -330,3 +336,30 @@ def test_fetch_non_object_rpc_error_is_remote_error(monkeypatch, tmp_path, rpc_s
     code = main(["fetch", "--from", h, "--to", h, "--out", str(tmp_path / "f.csv")])
     assert code == 3
     assert "malformed RPC error" in capsys.readouterr().err
+
+
+def test_fetch_non_http_url_is_remote_error(monkeypatch, tmp_path, capsys):
+    _set_rpc_env(monkeypatch, "file:///etc/hostname")
+    code = main(["fetch", "--from", "100", "--to", "100", "--out", str(tmp_path / "f.csv")])
+    assert code == 3
+    assert "http:// or https://" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_fetch_non_ascii_password_is_sent_as_utf8(monkeypatch, tmp_path, rpc_server, capsys):
+    _set_rpc_env(monkeypatch, rpc_server, password="p\u00e4ssw\u00f6rd\u20ac")
+    code = main(["fetch", "--from", "100", "--to", "100", "--out", str(tmp_path / "f.csv")])
+    assert code == 3
+    assert "authentication rejected" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_http_stack():
+    # The transport imports its HTTP modules on first use, so commands other
+    # than fetch do not pay for them at start-up.
+    src = str(Path(joist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, joist.cli; print(sorted({'requests', 'urllib.request', 'http.client'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert result.stdout.strip() == "[]"

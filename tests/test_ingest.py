@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import ssl
+import threading
+from http.server import ThreadingHTTPServer
+
 import pytest
 
 from joist import (
@@ -20,10 +24,13 @@ from joist import (
 from joist.ingest import CSV_HEADER
 
 from conftest import (
+    BAD_GATEWAY_HEIGHT,
     RPC_PASS,
     RPC_USER,
     STRING_ERROR_HEIGHT,
+    TRUNCATED_HEIGHT,
     TEST_CHAIN_EXPECTED,
+    _RpcHandler,
     make_block,
     make_dataset,
 )
@@ -267,6 +274,110 @@ def test_fetch_unreachable_node(closed_port_url):
     endpoint = _endpoint(closed_port_url, timeout=2.0)
     with pytest.raises(RpcConnectionError):
         fetch_block_features(endpoint, (100, 100))
+
+
+@pytest.mark.parametrize(
+    "url, message",
+    [
+        ("file:///etc/hostname", "http:// or https://"),
+        ("data:application/json,{}", "http:// or https://"),
+        ("ftp://127.0.0.1/", "http:// or https://"),
+        ("localhost:8232", "http:// or https://"),
+        ("http://127.0.0.1:notaport/", "invalid node URL .*notaport"),
+    ],
+)
+def test_fetch_rejects_unusable_urls(url, message):
+    with pytest.raises(RpcConnectionError, match=message):
+        fetch_block_features(_endpoint(url), (100, 100))
+
+
+def test_fetch_truncated_body_is_connection_error(rpc_server):
+    with pytest.raises(RpcConnectionError, match="cannot reach node"):
+        fetch_block_features(_endpoint(rpc_server), (TRUNCATED_HEIGHT, TRUNCATED_HEIGHT))
+
+
+def test_fetch_non_json_error_page_names_the_status(rpc_server):
+    with pytest.raises(RpcConnectionError, match="non-JSON response .*HTTP 502"):
+        fetch_block_features(_endpoint(rpc_server), (BAD_GATEWAY_HEIGHT, BAD_GATEWAY_HEIGHT))
+
+
+def test_fetch_ignores_credentials_in_the_url(rpc_server):
+    url = rpc_server.replace("http://", "http://mallory:guess@")
+    (block,) = fetch_block_features(_endpoint(url), (100, 100))
+    assert block.size_bytes == 285
+
+
+def _self_signed_cert(tmp_path):
+    """PEM files of a self-signed certificate for 127.0.0.1 and its key."""
+    pytest.importorskip("cryptography")
+    import datetime
+    import ipaddress
+
+    from cryptography import x509
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+    from cryptography.x509.oid import NameOID
+
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "127.0.0.1")])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    ski = x509.SubjectKeyIdentifier.from_public_key(key.public_key())
+    cert = (
+        x509.CertificateBuilder()
+        .subject_name(name)
+        .issuer_name(name)
+        .public_key(key.public_key())
+        .serial_number(x509.random_serial_number())
+        .not_valid_before(now - datetime.timedelta(days=1))
+        .not_valid_after(now + datetime.timedelta(days=1))
+        .add_extension(x509.SubjectAlternativeName([x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]), False)
+        .add_extension(x509.BasicConstraints(ca=True, path_length=None), True)
+        .add_extension(ski, False)
+        .add_extension(x509.AuthorityKeyIdentifier.from_issuer_subject_key_identifier(ski), False)
+        .sign(key, hashes.SHA256())
+    )
+    cert_path, key_path = tmp_path / "cert.pem", tmp_path / "key.pem"
+    cert_path.write_bytes(cert.public_bytes(serialization.Encoding.PEM))
+    key_path.write_bytes(
+        key.private_bytes(
+            serialization.Encoding.PEM,
+            serialization.PrivateFormat.PKCS8,
+            serialization.NoEncryption(),
+        )
+    )
+    return cert_path, key_path
+
+
+@pytest.fixture()
+def tls_rpc_server(tmp_path):
+    """The node stand-in behind TLS with a self-signed certificate; yields (URL, cert path)."""
+    cert_path, key_path = _self_signed_cert(tmp_path)
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert_path, key_path)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _RpcHandler)
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"https://127.0.0.1:{server.server_address[1]}", cert_path
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
+        server.server_close()
+    assert not thread.is_alive()
+
+
+def test_fetch_https_rejects_untrusted_certificate(tls_rpc_server):
+    url, _ = tls_rpc_server
+    with pytest.raises(RpcConnectionError, match="CERTIFICATE_VERIFY_FAILED"):
+        fetch_block_features(_endpoint(url, timeout=5.0), (100, 100))
+
+
+def test_fetch_https_trusts_the_default_verify_paths(tls_rpc_server, monkeypatch):
+    url, cert_path = tls_rpc_server
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert_path))
+    (block,) = fetch_block_features(_endpoint(url, timeout=5.0), (100, 100))
+    assert block.size_bytes == 285
 
 
 def test_times_beyond_int64_cannot_be_serialized(tmp_path):
