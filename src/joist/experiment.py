@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from math import fsum
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -29,7 +28,7 @@ from .features import FEATURE_COLUMNS, Dataset
 from .fit import ols_fit
 from .models import PREDICTORS, ModelKind, ModelSpec, n_predictors, predict
 from .rng import SplitMix64, gaussians, shuffled_indices
-from .stats import EvalReport, evaluate, fsum_squares, pearson_r
+from .stats import EvalReport, centred, correlation, evaluate, exact_sum, require_finite
 
 _MAX_SEED = (1 << 64) - 1
 _INT64_MAX = (1 << 63) - 1
@@ -131,12 +130,16 @@ def correlation_table(ds: Dataset) -> dict[str, float | None]:
     """Pearson r of each feature column against measured verification time.
 
     A constant feature column yields ``None`` for that entry (degenerate
-    variance) instead of a number.
+    variance) instead of a number, as does every entry if the times are
+    constant. The time-side moments are computed once for all features.
     """
+    if len(ds) < 2:
+        raise ShapeError(f"need at least 2 observations, got {len(ds)}")
+    t = centred(ds.verify_time_us)
     table: dict[str, float | None] = {}
     for name in CORRELATION_FEATURES:
         try:
-            table[name] = pearson_r(getattr(ds, FEATURE_COLUMNS[name]), ds.verify_time_us).r
+            table[name] = correlation(centred(getattr(ds, FEATURE_COLUMNS[name])), t)
         except DegenerateVarianceError:
             table[name] = None
     return table
@@ -185,7 +188,7 @@ def composition_analysis(ds: Dataset) -> CompositionReport:
     denom = denom[keep]
     shares = (n_in[keep] / denom, (n_spend[keep] + n_output[keep]) / denom, n_js[keep] / denom)
     n = len(denom)
-    means = tuple(fsum(share.tolist()) / n for share in shares) if n else (None, None, None)
+    means = tuple(exact_sum(share) / n for share in shares) if n else (None, None, None)
     return CompositionReport(
         ds.height[keep],
         *shares,
@@ -313,20 +316,21 @@ def emit_plot_data(predict_set: Dataset, model: ModelSpec, out: str | Path) -> N
     least-squares line of measured-on-predicted lands in the sidecar JSON
     ``<out>.line.json`` as ``{"slope": ..., "intercept_us": ...}``. Log
     scaling is left to the plotting tool.
+
+    Raises:
+        NumericalError: before anything is written, if a prediction is not
+            finite or a square or sum is beyond float range.
     """
     predictions = predict(model, predict_set)
+    require_finite(predictions, "predictions")
     measured = predict_set.verify_time_us
 
-    n = len(predictions)
-    x_mean = fsum(predictions.tolist()) / n
-    y_mean = fsum(measured.astype(np.float64).tolist()) / n
-    dx = predictions - x_mean
-    sxx = fsum_squares(dx)
-    if sxx == 0.0:
+    x = centred(predictions)
+    if x.sum_squares == 0.0:
         raise RankDeficiencyError("all predictions are identical; regression line undefined")
-    sxy = fsum((dx * (measured - y_mean)).tolist())
-    slope = sxy / sxx
-    intercept = y_mean - slope * x_mean
+    y_mean = exact_sum(measured) / len(measured)
+    slope = exact_sum(x.deviations * (measured - y_mean)) / x.sum_squares
+    intercept = y_mean - slope * x.mean
 
     rows = zip(predict_set.height.tolist(), measured.tolist(), predictions.tolist())
     lines = ["height,measured_us,predicted_us", *(f"{h},{m},{p}" for h, m, p in rows)]

@@ -19,7 +19,6 @@ from __future__ import annotations
 import io
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -182,6 +181,9 @@ def fetch_block_features(endpoint: RpcEndpoint, height_range: tuple[int, int]) -
     workers = min(endpoint.max_parallel, len(heights))
     if workers == 1:
         return [_fetch_one(endpoint, h) for h in heights]
+    # Imported on first use: concurrent.futures pulls in logging and adds ~7 ms to every other command's start.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda h: _fetch_one(endpoint, h), heights))
 

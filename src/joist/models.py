@@ -84,12 +84,15 @@ def predict(model: ModelSpec, data: BlockFeatures | Dataset) -> float | np.ndarr
     For one block this is a float; for a dataset, a float64 array with one
     prediction per row. Both accumulate ``c * x`` in predictor order and add
     the intercept last, so a row's prediction is bit-identical either way.
+    A prediction beyond float range is inf or NaN, without a warning; the
+    statistics and plot writers reject it as a NumericalError.
     """
     total = 0.0
-    for name in PREDICTORS[model.kind]:
-        values = np.asarray(getattr(data, FEATURE_COLUMNS[name]), dtype=np.float64)
-        total = total + model.coefficients[name] * values
-    total = total + model.intercept_us
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in PREDICTORS[model.kind]:
+            values = np.asarray(getattr(data, FEATURE_COLUMNS[name]), dtype=np.float64)
+            total = total + model.coefficients[name] * values
+        total = total + model.intercept_us
     return float(total) if np.ndim(total) == 0 else total
 
 

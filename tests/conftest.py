@@ -272,6 +272,7 @@ def rpc_server():
     finally:
         server.shutdown()
         thread.join()
+        server.server_close()
 
 
 @pytest.fixture()

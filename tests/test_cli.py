@@ -183,6 +183,28 @@ def test_predict_writes_plot_data_and_sidecar(tmp_path, synth_data):
     assert line["slope"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "coefficient, message",
+    [(1e160, "square is beyond float range"), (1e307, "30 of 30 predictions are not finite")],
+)
+def test_overflowing_predictions_are_numerical_errors(tmp_path, capsys, coefficient, message):
+    # 1e160 gives finite predictions whose squared errors overflow; 1e307
+    # gives infinite predictions.
+    rows = [(h, 1000 + h, 100 + h, 101 + h, h % 3, h % 5, h % 2, 50 + 13 * h) for h in range(1, 31)]
+    data_path = tmp_path / "data.csv"
+    write_dataset(make_dataset(rows), DatasetFile(data_path))
+    model_path = tmp_path / "m.json"
+    save_model(ModelSpec(ModelKind.JOIST, dict.fromkeys(_TRUTH.coefficients, coefficient), 0.0), model_path)
+    assert main(["evaluate", "--model", str(model_path), "--data", str(data_path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    out = tmp_path / "plot.csv"
+    assert main(["predict", "--model", str(model_path), "--data", str(data_path), "--out", str(out)]) == 4
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "plot.csv.line.json").exists()
+
+
 def test_correlate_flags_degenerate_columns(tmp_path, capsys):
     rows = [(h, 100 + h, h % 5, 1 + h % 4, 0, h % 3, h % 2, 50 + 13 * h) for h in range(1, 41)]
     data_path = tmp_path / "data.csv"
@@ -354,11 +376,11 @@ def test_fetch_non_ascii_password_is_sent_as_utf8(monkeypatch, tmp_path, rpc_ser
 
 
 def test_cli_import_loads_no_http_stack():
-    # The transport imports its HTTP modules on first use, so commands other
-    # than fetch do not pay for them at start-up.
+    # The transport imports its HTTP modules and fetch its thread pool on
+    # first use, so commands other than fetch do not pay for them at start-up.
     src = str(Path(joist.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, joist.cli; print(sorted({'requests', 'urllib.request', 'http.client'} & set(sys.modules)))"
+    probe = "import sys, joist.cli; print(sorted({'requests', 'urllib.request', 'http.client', 'concurrent.futures', 'logging'} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
     )

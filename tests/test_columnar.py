@@ -15,6 +15,7 @@ import pytest
 
 from joist import (
     Dataset,
+    DegenerateVarianceError,
     ModelKind,
     ModelSpec,
     SplitPlan,
@@ -27,6 +28,8 @@ from joist import (
     r_squared,
     split,
 )
+from joist.experiment import CORRELATION_FEATURES
+from joist.features import FEATURE_COLUMNS
 from joist.fit import design_matrix
 from joist.models import PREDICTORS
 from joist.rng import SplitMix64, shuffled_indices
@@ -160,3 +163,26 @@ def test_statistics_match_the_per_element_formulas(noisy):
     assert pearson_r(noisy.n_joinsplit, noisy.verify_time_us).r == _reference_pearson(
         [float(v) for v in noisy.n_joinsplit.tolist()], t
     )
+
+
+def _per_feature_pearson(ds):
+    table = {}
+    for name in CORRELATION_FEATURES:
+        try:
+            table[name] = pearson_r(getattr(ds, FEATURE_COLUMNS[name]), ds.verify_time_us).r
+        except DegenerateVarianceError:
+            table[name] = None
+    return table
+
+
+def test_correlation_table_matches_per_feature_pearson_r(noisy):
+    constant_spend = make_dataset(
+        [(h, 100 + h, h % 7, 1 + h % 4, 2, h % 3, h % 2, 50 + 13 * h + h % 5) for h in range(1, 60)]
+    )
+    constant_time = make_dataset([(h, 100 + h, h % 7, 1 + h % 4, h % 5, h % 3, h % 2, 77) for h in range(1, 60)])
+    for ds in (noisy, constant_spend, constant_time):
+        assert correlation_table(ds) == _per_feature_pearson(ds)
+    assert all(r is not None for r in correlation_table(noisy).values())
+    assert correlation_table(constant_spend)["spend"] is None
+    assert correlation_table(constant_spend)["transparent_in"] is not None
+    assert set(correlation_table(constant_time).values()) == {None}
