@@ -46,11 +46,9 @@ from .features import (
     aggregate_block,
     extract_tx_features,
 )
-from .fit import FitResult, ols_fit, standard_errors
+from .fit import FitResult, ols_fit
 from .ingest import (
     CSV_HEADER,
-    DatasetFile,
-    DatasetFormat,
     RpcEndpoint,
     fetch_block_features,
     read_dataset,

@@ -22,7 +22,7 @@ from .experiment import SplitPlan, SynthSpec
 from .fit import ols_fit
 from .stats import evaluate
 from .ingest import (
-    DatasetFile,
+    MAX_PARALLEL,
     RpcEndpoint,
     fetch_block_features,
     read_dataset,
@@ -69,8 +69,8 @@ def _endpoint_from_env(parallel: int) -> RpcEndpoint:
 
 
 def _cmd_fetch(args) -> int:
-    if args.parallel < 1:
-        raise _UsageError("--parallel must be >= 1")
+    if not 1 <= args.parallel <= MAX_PARALLEL:
+        raise _UsageError(f"--parallel must be in 1..{MAX_PARALLEL}")
     endpoint = _endpoint_from_env(parallel=args.parallel)
     features = fetch_block_features(endpoint, (args.from_height, args.to_height))
     write_features_csv(features, args.out)
@@ -100,7 +100,7 @@ def _synth_spec_from_json(doc) -> SynthSpec:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise FormatError(f"count range for {name!r} must be a [lo, hi] pair")
         lo, hi = pair
-        if not isinstance(lo, int) or not isinstance(hi, int):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in pair):
             raise FormatError(f"count range for {name!r} must hold integers")
         ranges[str(name)] = (lo, hi)
 
@@ -128,7 +128,7 @@ def _cmd_synth(args) -> int:
         raise FormatError(f"{args.spec}: not valid JSON: {exc}") from exc
     spec = _synth_spec_from_json(doc)
     ds = experiment.generate_synthetic(spec)
-    write_dataset(ds, DatasetFile(args.out))
+    write_dataset(ds, args.out)
     print(f"wrote {len(ds)} synthetic samples to {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -136,7 +136,7 @@ def _cmd_synth(args) -> int:
 def _cmd_fit(args) -> int:
     if (args.seed is None) != (args.n_fit is None):
         raise _UsageError("--seed and --n-fit must be given together")
-    ds = read_dataset(DatasetFile(args.data))
+    ds = read_dataset(args.data)
     if args.seed is not None:
         plan = SplitPlan(seed=args.seed, n_fit=args.n_fit, n_predict=len(ds) - args.n_fit)
         train, _ = experiment.split(ds, plan)
@@ -156,7 +156,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    ds = read_dataset(DatasetFile(args.data))
+    ds = read_dataset(args.data)
     experiment.emit_plot_data(ds, model, args.out)
     print(f"wrote plot data to {args.out} (regression line in {args.out}.line.json)", file=sys.stderr)
     return EXIT_OK
@@ -164,14 +164,14 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    ds = read_dataset(DatasetFile(args.data))
+    ds = read_dataset(args.data)
     report = evaluate(ds.verify_time_us, predict(model, ds), n_predictors(model.kind))
     print(json.dumps(asdict(report)))
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
-    ds = read_dataset(DatasetFile(args.data))
+    ds = read_dataset(args.data)
     plan = SplitPlan(seed=args.seed, n_fit=args.n_fit, n_predict=len(ds) - args.n_fit)
     baselines = (GERVAIS_BASELINE,) if args.baseline_gervais else ()
     rows = experiment.run_comparison(
@@ -182,7 +182,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    ds = read_dataset(DatasetFile(args.data))
+    ds = read_dataset(args.data)
     table = experiment.correlation_table(ds)
     lines = ["feature,r"]
     for name, r in table.items():
@@ -192,7 +192,7 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_composition(args) -> int:
-    ds = read_dataset(DatasetFile(args.data))
+    ds = read_dataset(args.data)
     report = experiment.composition_analysis(ds)
     heights = map(str, report.heights.tolist())
     shares = map(_float_strs, (report.transparent_in, report.spend_output, report.joinsplit))

@@ -251,8 +251,9 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     Raises:
         SynthSpecError: if the recipe can never produce a positive time (the
             true model value is <= 0 over the entire count box), if its count
-            ranges allow block sizes beyond int64, or if a drawn time or size
-            is not finite or does not fit in int64.
+            ranges allow block sizes beyond int64, if n_blocks is too large
+            for one draw buffer, or if a drawn time or size is not finite or
+            does not fit in int64.
     """
     names = PREDICTORS[ModelKind.JOIST]
     coeffs = spec.true_model.coefficients
@@ -271,8 +272,12 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     if max_size > _INT64_MAX:
         raise SynthSpecError(f"count ranges allow block sizes up to {max_size}, beyond int64")
 
-    # Eight raw draws per block, in the documented order.
-    draws = SplitMix64(spec.seed).next_block(8 * spec.n_blocks).reshape(spec.n_blocks, 8)
+    # Eight raw draws per block, in the documented order. numpy refuses a
+    # buffer beyond its size limit or the address space before touching memory.
+    try:
+        draws = SplitMix64(spec.seed).next_block(8 * spec.n_blocks).reshape(spec.n_blocks, 8)
+    except (ValueError, MemoryError) as exc:
+        raise SynthSpecError(f"n_blocks {spec.n_blocks} is too large to draw: {exc}") from exc
     counts = {
         name: lo[name] + (draws[:, i] % np.uint64(span[name])).astype(np.int64)
         for i, name in enumerate(names)

@@ -161,12 +161,6 @@ class Dataset:
         for *features, t in zip(*(getattr(self, c).tolist() for c in COLUMNS)):
             yield VerificationSample(BlockFeatures(*features), t)
 
-    def heights(self) -> list[int]:
-        return self.height.tolist()
-
-    def times_us(self) -> list[int | float]:
-        return self.verify_time_us.tolist()
-
     def take(self, indices: ArrayLike) -> "Dataset":
         """The rows at *indices* (which must keep heights increasing)."""
         return Dataset({c: getattr(self, c)[indices] for c in COLUMNS})

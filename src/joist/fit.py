@@ -11,6 +11,7 @@ meaningless per-operation cost estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -28,6 +29,9 @@ class FitResult:
     model: ModelSpec
     n_samples: int
     residual_sum_squares: float
+    # Residual-based standard error per coefficient name plus "intercept";
+    # None when n == p + 1 leaves no degree of freedom for the residual variance.
+    standard_errors: Mapping[str, float] | None
     condition_warning: str | None = None
 
 
@@ -52,6 +56,7 @@ def ols_fit(kind: ModelKind, train: Dataset) -> FitResult:
         raise UnsupportedKindError("fixed_rate models are given, not fitted")
     names = PREDICTORS[kind]
     p = len(names)
+    params = [*names, "intercept"]
     if len(train) < p + 1:
         raise SampleCountError(f"need at least {p + 1} samples to fit {kind.value}, got {len(train)}")
 
@@ -68,14 +73,19 @@ def ols_fit(kind: ModelKind, train: Dataset) -> FitResult:
     tol = np.finfo(np.float64).eps * max(x.shape) * diag.max()
     deficient = [j for j in range(p + 1) if diag[j] <= tol]
     if deficient:
-        labels = [names[j] if j < p else "intercept" for j in deficient]
         raise RankDeficiencyError(
-            "design matrix is rank-deficient at column(s): " + ", ".join(labels)
+            "design matrix is rank-deficient at column(s): " + ", ".join(params[j] for j in deficient)
         )
 
     beta = np.linalg.solve(r, q.T @ y)
     residuals = y - x @ beta
     rss = float(residuals @ residuals)
+
+    ses = None
+    if len(train) > p + 1:
+        r_inv = np.linalg.inv(r)
+        cov = rss / (len(train) - p - 1) * (r_inv @ r_inv.T)
+        ses = dict(zip(params, map(float, np.sqrt(np.diag(cov)))))
 
     condition = float(diag.max() / diag.min())
     warning = None
@@ -91,25 +101,7 @@ def ols_fit(kind: ModelKind, train: Dataset) -> FitResult:
         model=model,
         n_samples=len(train),
         residual_sum_squares=rss,
+        standard_errors=ses,
         condition_warning=warning,
     )
 
-
-def standard_errors(result: FitResult, train: Dataset) -> dict[str, float]:
-    """Residual-based standard errors of the fitted parameters.
-
-    Returns one entry per coefficient name plus ``"intercept"``. *train* must
-    be the dataset the fit was computed on.
-    """
-    names = PREDICTORS[result.model.kind]
-    p = len(names)
-    n = result.n_samples
-    if n <= p + 1:
-        raise SampleCountError(f"need n > p + 1 for standard errors (n={n}, p={p})")
-    x, _ = design_matrix(result.model.kind, train)
-    sigma2 = result.residual_sum_squares / (n - p - 1)
-    _, r = np.linalg.qr(x, mode="reduced")
-    r_inv = np.linalg.inv(r)
-    cov = sigma2 * (r_inv @ r_inv.T)
-    ses = np.sqrt(np.diag(cov))
-    return {**{name: float(se) for name, se in zip(names, ses[:p])}, "intercept": float(ses[p])}

@@ -20,7 +20,6 @@ import io
 import json
 import re
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 from urllib.parse import urlsplit
@@ -52,6 +51,10 @@ _DECODED_TX_VERBOSITY = 2
 _FIELD = re.compile(r"-?[0-9]+")
 _INT64 = np.iinfo(np.int64)
 
+# Most concurrent requests a fetch makes: far above what a node's few RPC
+# threads serve, and low enough that no value starts unbounded threads.
+MAX_PARALLEL = 64
+
 
 @dataclass(frozen=True)
 class RpcEndpoint:
@@ -66,18 +69,8 @@ class RpcEndpoint:
     def __post_init__(self) -> None:
         if self.timeout <= 0:
             raise IntegrityError(f"timeout must be > 0, got {self.timeout}")
-        if self.max_parallel < 1:
-            raise IntegrityError(f"max_parallel must be >= 1, got {self.max_parallel}")
-
-
-class DatasetFormat(Enum):
-    CSV = "csv"
-
-
-@dataclass(frozen=True)
-class DatasetFile:
-    path: str | Path
-    format: DatasetFormat = DatasetFormat.CSV
+        if not 1 <= self.max_parallel <= MAX_PARALLEL:
+            raise IntegrityError(f"max_parallel must be in 1..{MAX_PARALLEL}, got {self.max_parallel}")
 
 
 def _rpc_call(endpoint: RpcEndpoint, method: str, params: list):
@@ -178,13 +171,10 @@ def fetch_block_features(endpoint: RpcEndpoint, height_range: tuple[int, int]) -
     if lo > hi:
         raise HeightRangeError(f"empty height range [{lo}, {hi}]")
     heights = range(lo, hi + 1)
-    workers = min(endpoint.max_parallel, len(heights))
-    if workers == 1:
-        return [_fetch_one(endpoint, h) for h in heights]
     # Imported on first use: concurrent.futures pulls in logging and adds ~7 ms to every other command's start.
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(endpoint.max_parallel, len(heights))) as pool:
         return list(pool.map(lambda h: _fetch_one(endpoint, h), heights))
 
 
@@ -195,7 +185,7 @@ def _write_csv(path: str | Path, rows: np.ndarray) -> None:
     Path(path).write_text(CSV_HEADER + "\n" + body, encoding="utf-8", newline="\n")
 
 
-def write_dataset(ds: Dataset, file: DatasetFile) -> None:
+def write_dataset(ds: Dataset, path: str | Path) -> None:
     """Write the dataset in the interchange CSV format, rows sorted by height.
 
     The format stores integer microseconds; a dataset holding fractional
@@ -211,7 +201,7 @@ def write_dataset(ds: Dataset, file: DatasetFile) -> None:
                 "the CSV format stores whole microseconds"
             )
         t = t.astype(np.int64)
-    _write_csv(file.path, np.column_stack([getattr(ds, c) for c in COLUMNS[:-1]] + [t]))
+    _write_csv(path, np.column_stack([getattr(ds, c) for c in COLUMNS[:-1]] + [t]))
 
 
 def write_features_csv(features: Sequence[BlockFeatures], path: str | Path) -> None:
@@ -225,7 +215,7 @@ def write_features_csv(features: Sequence[BlockFeatures], path: str | Path) -> N
     _write_csv(path, np.array(rows, dtype=np.int64).reshape(-1, len(COLUMNS)))
 
 
-def read_dataset(file: DatasetFile) -> Dataset:
+def read_dataset(path: str | Path) -> Dataset:
     """Read and validate a dataset CSV.
 
     A well-formed file is parsed as a whole by numpy. Any file that is not,
@@ -238,14 +228,14 @@ def read_dataset(file: DatasetFile) -> Dataset:
         IntegrityError: duplicate heights, non-positive times or sizes,
             negative counts, or no rows at all.
     """
-    raw = Path(file.path).read_bytes()
+    raw = Path(path).read_bytes()
     columns = _fast_columns(raw)
     if columns is not None:
         try:
-            return _dataset(columns, file.path)
+            return _dataset(columns, path)
         except IntegrityError:
             pass
-    return _dataset(_row_columns(raw, file.path), file.path)
+    return _dataset(_row_columns(raw, path), path)
 
 
 def _dataset(columns: dict[str, np.ndarray], path) -> Dataset:

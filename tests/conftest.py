@@ -8,10 +8,22 @@ import json
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
 from joist import BlockFeatures, Dataset, ModelKind, ModelSpec, SynthSpec, VerificationSample
+
+_TESTS_DIR = Path(__file__).resolve().parent
+
+
+def pytest_collection_modifyitems(items):
+    """Make a leaked file or socket fail the test that leaked it, under tests/ only."""
+    for item in items:
+        if item.path.resolve().is_relative_to(_TESTS_DIR):
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"))
+
 
 # ---------------------------------------------------------------------------
 # Published reference parametrizations (benchmark label -> coefficients).

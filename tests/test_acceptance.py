@@ -17,7 +17,6 @@ import pytest
 from joist import (
     GERVAIS_BASELINE,
     Dataset,
-    DatasetFile,
     ModelKind,
     ModelSpec,
     SplitPlan,
@@ -35,7 +34,6 @@ from joist import (
     read_dataset,
     run_comparison,
     split,
-    standard_errors,
     write_dataset,
 )
 from joist.fit import design_matrix
@@ -156,14 +154,14 @@ def test_criterion_4_ols_statistical_recovery(noisy_15k):
     plan = SplitPlan(seed=7, n_fit=5000, n_predict=10000)
     fit_set, predict_set = split(noisy_15k, plan)
     result = ols_fit(ModelKind.JOIST, fit_set)
-    ses = standard_errors(result, fit_set)
+    ses = result.standard_errors
     truth = dict(_NOISY_TRUTH.coefficients, intercept=_NOISY_TRUTH.intercept_us)
     fitted = dict(result.model.coefficients, intercept=result.model.intercept_us)
     checks = [
         (f"{name} within 5 SE", abs(fitted[name] - value) <= 5 * ses[name])
         for name, value in truth.items()
     ]
-    t = [float(v) for v in predict_set.times_us()]
+    t = [float(v) for v in predict_set.verify_time_us.tolist()]
     t_hat = [predict(result.model, s.features) for s in predict_set]
     checks.append(("predict-set R2 >= 0.8", r_squared(t, t_hat) >= 0.8))
     _criterion(4, "noisy 5k/10k split recovers coefficients and predicts well", checks)
@@ -241,19 +239,19 @@ def test_criterion_7_determinism_and_round_trip(tmp_path):
     ds_a = generate_synthetic(spec)
     ds_b = generate_synthetic(spec)
     path_a, path_b = tmp_path / "synth_a.csv", tmp_path / "synth_b.csv"
-    write_dataset(ds_a, DatasetFile(path_a))
-    write_dataset(ds_b, DatasetFile(path_b))
+    write_dataset(ds_a, path_a)
+    write_dataset(ds_b, path_b)
     checks.append(("synthetic files byte-identical", path_a.read_bytes() == path_b.read_bytes()))
 
     plan = SplitPlan(seed=5, n_fit=2000, n_predict=8000)
     fit_a, _ = split(ds_a, plan)
     fit_b, _ = split(ds_b, plan)
     split_a, split_b = tmp_path / "split_a.csv", tmp_path / "split_b.csv"
-    write_dataset(fit_a, DatasetFile(split_a))
-    write_dataset(fit_b, DatasetFile(split_b))
+    write_dataset(fit_a, split_a)
+    write_dataset(fit_b, split_b)
     checks.append(("split files byte-identical", split_a.read_bytes() == split_b.read_bytes()))
 
-    checks.append(("10k-row round trip identity", read_dataset(DatasetFile(path_a)) == ds_a))
+    checks.append(("10k-row round trip identity", read_dataset(path_a) == ds_a))
     _criterion(7, "seeded pipelines are byte-reproducible and files round-trip", checks)
 
 
@@ -277,7 +275,7 @@ def test_criterion_8_real_data_goldens():
             "present (set JOIST_REAL_DATA to its CSV path)"
         )
         pytest.skip("real benchmark data not configured")
-    ds = read_dataset(DatasetFile(path))
+    ds = read_dataset(path)
     table = correlation_table(ds)
     checks = []
     for name, expected in _REAL_CORRELATIONS.items():

@@ -10,7 +10,7 @@ import pytest
 
 import joist
 
-from joist import DatasetFile, ModelKind, ModelSpec, load_model, read_dataset, save_model
+from joist import ModelKind, ModelSpec, load_model, read_dataset, save_model
 from joist.cli import main
 from joist.ingest import CSV_HEADER
 
@@ -55,7 +55,7 @@ def synth_data(tmp_path):
 
 
 def test_synth_writes_a_valid_dataset(synth_data):
-    ds = read_dataset(DatasetFile(synth_data))
+    ds = read_dataset(synth_data)
     assert len(ds) == 400
 
 
@@ -155,7 +155,7 @@ def test_compare_joist_dominates_and_is_deterministic(synth_data, capsys):
 def test_evaluate_constant_times_maps_to_numerical_exit(tmp_path, capsys):
     rows = [(h, 400 + h, h % 7, 0, h % 2, h % 5, h % 3, 1000) for h in range(1, 21)]
     data_path = tmp_path / "flat_times.csv"
-    write_dataset(make_dataset(rows), DatasetFile(data_path))
+    write_dataset(make_dataset(rows), data_path)
     model_path = tmp_path / "m.json"
     save_model(_TRUTH, model_path)
     code = main(["evaluate", "--model", str(model_path), "--data", str(data_path)])
@@ -166,7 +166,7 @@ def test_evaluate_constant_times_maps_to_numerical_exit(tmp_path, capsys):
 def test_fit_constant_spend_column_maps_to_numerical_exit(tmp_path, capsys):
     rows = [(h, 500 + h, h % 7, 0, 0, h % 5, h % 3, 100 + 13 * h) for h in range(1, 31)]
     data_path = tmp_path / "flat.csv"
-    write_dataset(make_dataset(rows), DatasetFile(data_path))
+    write_dataset(make_dataset(rows), data_path)
     code = main(["fit", "--kind", "joist", "--data", str(data_path), "--out", str(tmp_path / "m.json")])
     assert code == 4
     assert "spend" in capsys.readouterr().err
@@ -192,7 +192,7 @@ def test_overflowing_predictions_are_numerical_errors(tmp_path, capsys, coeffici
     # gives infinite predictions.
     rows = [(h, 1000 + h, 100 + h, 101 + h, h % 3, h % 5, h % 2, 50 + 13 * h) for h in range(1, 31)]
     data_path = tmp_path / "data.csv"
-    write_dataset(make_dataset(rows), DatasetFile(data_path))
+    write_dataset(make_dataset(rows), data_path)
     model_path = tmp_path / "m.json"
     save_model(ModelSpec(ModelKind.JOIST, dict.fromkeys(_TRUTH.coefficients, coefficient), 0.0), model_path)
     assert main(["evaluate", "--model", str(model_path), "--data", str(data_path)]) == 4
@@ -208,7 +208,7 @@ def test_overflowing_predictions_are_numerical_errors(tmp_path, capsys, coeffici
 def test_correlate_flags_degenerate_columns(tmp_path, capsys):
     rows = [(h, 100 + h, h % 5, 1 + h % 4, 0, h % 3, h % 2, 50 + 13 * h) for h in range(1, 41)]
     data_path = tmp_path / "data.csv"
-    write_dataset(make_dataset(rows), DatasetFile(data_path))
+    write_dataset(make_dataset(rows), data_path)
     assert main(["correlate", "--data", str(data_path)]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "feature,r"
@@ -225,7 +225,7 @@ def test_composition_emits_rows_and_mean(tmp_path, capsys):
         (3, 100, 1, 0, 0, 0, 1, 10),
     ]
     data_path = tmp_path / "data.csv"
-    write_dataset(make_dataset(rows), DatasetFile(data_path))
+    write_dataset(make_dataset(rows), data_path)
     assert main(["composition", "--data", str(data_path)]) == 0
     captured = capsys.readouterr()
     lines = captured.out.strip().splitlines()
@@ -284,6 +284,28 @@ def test_synth_non_finite_or_overflowing_noise_is_data_error(tmp_path, capsys, n
     assert not out.exists()
 
 
+def test_synth_boolean_count_bound_is_data_error(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    _write_synth_spec(spec_path, n_blocks=50)
+    spec_path.write_text(spec_path.read_text().replace('"joinsplit": [0, 5]', '"joinsplit": [false, true]'))
+    out = tmp_path / "data.csv"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+    assert "count range for 'joinsplit' must hold integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Each size fails before any memory is touched: 2**62 and 10**20 in numpy's
+# array size check, 2**50 (a 64 PiB draw buffer) beyond the user address space.
+@pytest.mark.parametrize("n_blocks", [2**62, 10**20, 2**50])
+def test_synth_huge_n_blocks_is_data_error(tmp_path, capsys, n_blocks):
+    spec_path = tmp_path / "spec.json"
+    _write_synth_spec(spec_path, n_blocks=n_blocks)
+    out = tmp_path / "data.csv"
+    assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 2
+    assert f"n_blocks {n_blocks}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_undecodable_spec_is_data_error(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_bytes(b'{"n_blocks": "\xff"}')
@@ -317,6 +339,17 @@ def test_fetch_requires_environment(monkeypatch, tmp_path, capsys):
     code = main(["fetch", "--from", "100", "--to", "100", "--out", str(tmp_path / "f.csv")])
     assert code == 1
     assert "JOIST_RPC_URL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parallel", ["0", "65", str(10**9)])
+def test_fetch_parallel_out_of_range_is_usage_error(monkeypatch, tmp_path, closed_port_url, capsys, parallel):
+    # Exit 1 rather than 3 shows the bound is checked before the node is contacted.
+    _set_rpc_env(monkeypatch, closed_port_url)
+    out = tmp_path / "f.csv"
+    code = main(["fetch", "--from", "100", "--to", "102", "--out", str(out), "--parallel", parallel])
+    assert code == 1
+    assert "--parallel must be in 1..64" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fetch_writes_zero_filled_features(monkeypatch, tmp_path, rpc_server, capsys):

@@ -7,7 +7,6 @@ import pytest
 from joist import (
     GERVAIS_BASELINE,
     Dataset,
-    DatasetFile,
     IntegrityError,
     ModelKind,
     ModelSpec,
@@ -42,12 +41,12 @@ def test_split_partitions_exactly(ds_15k):
     plan = SplitPlan(seed=1, n_fit=5000, n_predict=10000)
     fit_set, predict_set = split(ds_15k, plan)
     assert len(fit_set) == 5000 and len(predict_set) == 10000
-    fit_heights = set(fit_set.heights())
-    predict_heights = set(predict_set.heights())
+    fit_heights = set(fit_set.height.tolist())
+    predict_heights = set(predict_set.height.tolist())
     assert fit_heights.isdisjoint(predict_heights)
-    assert fit_heights | predict_heights == set(ds_15k.heights())
-    assert fit_set.heights() == sorted(fit_heights)
-    assert predict_set.heights() == sorted(predict_heights)
+    assert fit_heights | predict_heights == set(ds_15k.height.tolist())
+    assert fit_set.height.tolist() == sorted(fit_heights)
+    assert predict_set.height.tolist() == sorted(predict_heights)
 
 
 def test_split_is_deterministic(ds_15k):
@@ -60,7 +59,7 @@ def test_split_is_deterministic(ds_15k):
 def test_split_seed_changes_partition(ds_15k):
     fit_a, _ = split(ds_15k, SplitPlan(seed=1, n_fit=5000, n_predict=10000))
     fit_b, _ = split(ds_15k, SplitPlan(seed=2, n_fit=5000, n_predict=10000))
-    assert fit_a.heights() != fit_b.heights()
+    assert fit_a.height.tolist() != fit_b.height.tolist()
 
 
 def test_split_size_mismatch_is_shape_error(ds_15k):
@@ -221,8 +220,8 @@ def test_synthetic_is_deterministic(tmp_path):
     b = generate_synthetic(spec)
     assert a == b
     path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_dataset(a, DatasetFile(path_a))
-    write_dataset(b, DatasetFile(path_b))
+    write_dataset(a, path_a)
+    write_dataset(b, path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
@@ -244,7 +243,7 @@ def test_synthetic_zero_ranges_reduce_to_rounded_intercept():
     )
     ds = generate_synthetic(spec)
     assert all(s.verify_time_us == 4469 for s in ds)
-    assert ds.heights() == list(range(1, 26))
+    assert ds.height.tolist() == list(range(1, 26))
 
 
 def test_synthetic_counts_respect_ranges():

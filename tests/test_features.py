@@ -144,5 +144,5 @@ def test_dataset_rejects_empty():
 
 def test_dataset_from_samples_sorts_by_height():
     ds = Dataset.from_samples([_sample(9), _sample(2), _sample(5)])
-    assert ds.heights() == [2, 5, 9]
+    assert ds.height.tolist() == [2, 5, 9]
     assert len(ds) == 3

@@ -13,7 +13,6 @@ from joist import (
     UnsupportedKindError,
     VerificationSample,
     ols_fit,
-    standard_errors,
 )
 from joist.fit import design_matrix
 from joist.models import PREDICTORS
@@ -171,7 +170,7 @@ def test_noisy_recovery_within_five_standard_errors():
     spec = default_synth_spec(noise_sigma_us=1.0, n_blocks=10000, seed=1234)
     train = generate_synthetic(spec)
     result = ols_fit(ModelKind.JOIST, train)
-    ses = standard_errors(result, train)
+    ses = result.standard_errors
     truth = dict(spec.true_model.coefficients, intercept=spec.true_model.intercept_us)
     fitted = dict(result.model.coefficients, intercept=result.model.intercept_us)
     for name, true_value in truth.items():
@@ -187,12 +186,34 @@ def test_condition_warning_on_nearly_constant_sizes():
 def test_standard_errors_vanish_on_exact_data():
     train = _exact_joist_dataset()
     result = ols_fit(ModelKind.JOIST, train)
-    for se in standard_errors(result, train).values():
+    for se in result.standard_errors.values():
         assert se == pytest.approx(0.0, abs=1e-9)
 
 
 def test_standard_errors_need_spare_samples():
     ds = _exact_joist_dataset(n_blocks=5)
     result = ols_fit(ModelKind.JOIST, ds)
-    with pytest.raises(SampleCountError):
-        standard_errors(result, ds)
+    assert result.standard_errors is None
+
+
+def _reference_standard_errors(result, train):
+    """The residual-based standard errors from a fresh QR of *train*'s design matrix."""
+    names = PREDICTORS[result.model.kind]
+    p = len(names)
+    n = result.n_samples
+    x, _ = design_matrix(result.model.kind, train)
+    sigma2 = result.residual_sum_squares / (n - p - 1)
+    _, r = np.linalg.qr(x, mode="reduced")
+    r_inv = np.linalg.inv(r)
+    cov = sigma2 * (r_inv @ r_inv.T)
+    ses = np.sqrt(np.diag(cov))
+    return {**{name: float(se) for name, se in zip(names, ses[:p])}, "intercept": float(ses[p])}
+
+
+@pytest.mark.parametrize("kind", [ModelKind.JOIST, ModelKind.BLOCK_SIZE])
+@pytest.mark.parametrize("n_blocks", [6, 7, 50, 3000])
+@pytest.mark.parametrize("noise, seed", [(0.0, 1), (1.0, 2), (6.0, 3)])
+def test_standard_errors_equal_a_fresh_qr(kind, n_blocks, noise, seed):
+    train = generate_synthetic(default_synth_spec(noise_sigma_us=noise, n_blocks=n_blocks, seed=seed))
+    result = ols_fit(kind, train)
+    assert repr(result.standard_errors) == repr(_reference_standard_errors(result, train))

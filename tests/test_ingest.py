@@ -8,7 +8,6 @@ import pytest
 
 from joist import (
     Dataset,
-    DatasetFile,
     FormatError,
     HeightRangeError,
     IntegrityError,
@@ -21,7 +20,7 @@ from joist import (
     write_dataset,
     write_features_csv,
 )
-from joist.ingest import CSV_HEADER
+from joist.ingest import CSV_HEADER, MAX_PARALLEL
 
 from conftest import (
     BAD_GATEWAY_HEIGHT,
@@ -46,14 +45,14 @@ _ROWS = [
 
 def test_round_trip_is_identity(tmp_path):
     ds = make_dataset(_ROWS)
-    file = DatasetFile(tmp_path / "ds.csv")
+    file = tmp_path / "ds.csv"
     write_dataset(ds, file)
     assert read_dataset(file) == ds
 
 
 def test_written_file_is_lf_terminated_ascii_integers(tmp_path):
     path = tmp_path / "ds.csv"
-    write_dataset(make_dataset(_ROWS), DatasetFile(path))
+    write_dataset(make_dataset(_ROWS), path)
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
@@ -66,7 +65,7 @@ def test_written_file_is_lf_terminated_ascii_integers(tmp_path):
 def test_rows_written_in_height_order(tmp_path):
     ds = make_dataset([_ROWS[2], _ROWS[0], _ROWS[1]])
     path = tmp_path / "ds.csv"
-    write_dataset(ds, DatasetFile(path))
+    write_dataset(ds, path)
     heights = [int(line.split(",")[0]) for line in path.read_text().splitlines()[1:]]
     assert heights == [100, 101, 102]
 
@@ -74,14 +73,14 @@ def test_rows_written_in_height_order(tmp_path):
 def test_fractional_times_cannot_be_serialized(tmp_path):
     ds = Dataset((VerificationSample(features=make_block(), verify_time_us=10.5),))
     with pytest.raises(FormatError):
-        write_dataset(ds, DatasetFile(tmp_path / "bad.csv"))
+        write_dataset(ds, tmp_path / "bad.csv")
 
 
 def test_read_rejects_wrong_header(tmp_path):
     path = tmp_path / "ds.csv"
     path.write_text("height,size\n1,2\n")
     with pytest.raises(FormatError) as excinfo:
-        read_dataset(DatasetFile(path))
+        read_dataset(path)
     assert CSV_HEADER in str(excinfo.value)
 
 
@@ -91,35 +90,35 @@ def test_read_rejects_duplicate_height(tmp_path):
         CSV_HEADER + "\n100,285,0,2,0,0,0,1807\n100,285,0,2,0,0,0,1807\n"
     )
     with pytest.raises(IntegrityError, match="height 100"):
-        read_dataset(DatasetFile(path))
+        read_dataset(path)
 
 
 def test_read_rejects_nonpositive_time(tmp_path):
     path = tmp_path / "ds.csv"
     path.write_text(CSV_HEADER + "\n100,285,0,2,0,0,0,0\n")
     with pytest.raises(IntegrityError):
-        read_dataset(DatasetFile(path))
+        read_dataset(path)
 
 
 def test_read_rejects_non_integer_fields(tmp_path):
     path = tmp_path / "ds.csv"
     path.write_text(CSV_HEADER + "\n100,285,0,2,0,0,0,1.5\n")
     with pytest.raises(FormatError):
-        read_dataset(DatasetFile(path))
+        read_dataset(path)
 
 
 def test_read_rejects_wrong_field_count(tmp_path):
     path = tmp_path / "ds.csv"
     path.write_text(CSV_HEADER + "\n100,285,0,2,0,0,0\n")
     with pytest.raises(FormatError, match="8 fields"):
-        read_dataset(DatasetFile(path))
+        read_dataset(path)
 
 
 def test_read_rejects_header_only_file(tmp_path):
     path = tmp_path / "ds.csv"
     path.write_text(CSV_HEADER + "\n")
     with pytest.raises(IntegrityError):
-        read_dataset(DatasetFile(path))
+        read_dataset(path)
 
 
 def test_read_sorts_unsorted_rows(tmp_path):
@@ -127,7 +126,7 @@ def test_read_sorts_unsorted_rows(tmp_path):
     path.write_text(
         CSV_HEADER + "\n102,4820,1,4,0,0,3,41002\n100,285,0,2,0,0,0,1807\n"
     )
-    assert read_dataset(DatasetFile(path)).heights() == [100, 102]
+    assert read_dataset(path).height.tolist() == [100, 102]
 
 
 @pytest.mark.parametrize("field", ["1_000", " +5", "+5", "5 ", "\u0665", "0x10"])
@@ -135,7 +134,7 @@ def test_read_rejects_lenient_integer_fields(tmp_path, field):
     path = tmp_path / "ds.csv"
     path.write_text(CSV_HEADER + f"\n100,285,0,2,0,0,0,1807\n101,{field},0,2,0,0,0,1807\n", encoding="utf-8")
     with pytest.raises(FormatError, match="ds.csv:3: "):
-        read_dataset(DatasetFile(path))
+        read_dataset(path)
 
 
 @pytest.mark.parametrize("value", [str(2**63), "99999999999999999999", str(-(2**63) - 1)])
@@ -143,29 +142,29 @@ def test_read_rejects_values_outside_int64(tmp_path, value):
     path = tmp_path / "ds.csv"
     path.write_text(CSV_HEADER + f"\n100,285,0,2,0,0,0,{value}\n")
     with pytest.raises(FormatError, match="ds.csv:2: .*int64"):
-        read_dataset(DatasetFile(path))
+        read_dataset(path)
 
 
 def test_read_accepts_int64_extremes(tmp_path):
     top = 2**63 - 1
     path = tmp_path / "ds.csv"
     path.write_text(CSV_HEADER + f"\n{top},{top},{top},{top},{top},{top},{top},{top}\n")
-    ds = read_dataset(DatasetFile(path))
-    assert ds.heights() == [top] and ds.times_us() == [top]
+    ds = read_dataset(path)
+    assert ds.height.tolist() == [top] and ds.verify_time_us.tolist() == [top]
 
 
 def test_read_negative_count_is_integrity_error_naming_the_line(tmp_path):
     path = tmp_path / "ds.csv"
     path.write_text(CSV_HEADER + "\n100,285,0,2,0,0,0,1807\n101,285,0,2,-1,0,0,1807\n")
     with pytest.raises(IntegrityError, match=r"ds.csv:3: n_spend must be >= 0, got -1"):
-        read_dataset(DatasetFile(path))
+        read_dataset(path)
 
 
 def test_read_rejects_invalid_utf8(tmp_path):
     path = tmp_path / "ds.csv"
     path.write_bytes(CSV_HEADER.encode() + b"\n100,285,0,2,0,0,0,18\xff7\n")
     with pytest.raises(FormatError, match="UTF-8"):
-        read_dataset(DatasetFile(path))
+        read_dataset(path)
 
 
 @pytest.mark.parametrize(
@@ -180,7 +179,7 @@ def test_read_rejects_invalid_utf8(tmp_path):
 def test_read_accepts_other_line_layouts(tmp_path, body):
     path = tmp_path / "ds.csv"
     path.write_bytes((CSV_HEADER + "\n" + body).encode())
-    assert read_dataset(DatasetFile(path)) == make_dataset(_ROWS[:2])
+    assert read_dataset(path) == make_dataset(_ROWS[:2])
 
 
 def test_write_features_csv_zero_fills_times(tmp_path):
@@ -193,7 +192,7 @@ def test_write_features_csv_zero_fills_times(tmp_path):
     assert lines[2] == "102,20,0,0,0,0,0,0"
     # Zero-filled times keep the file out of the fitting pipeline.
     with pytest.raises(IntegrityError):
-        read_dataset(DatasetFile(path))
+        read_dataset(path)
 
 
 # -- endpoint invariants ----------------------------------------------------
@@ -203,6 +202,13 @@ def test_endpoint_invariants():
         RpcEndpoint(url="http://x", username="u", password="p", max_parallel=0)
     with pytest.raises(IntegrityError):
         RpcEndpoint(url="http://x", username="u", password="p", timeout=0)
+
+
+@pytest.mark.parametrize("max_parallel", [MAX_PARALLEL + 1, 10**9])
+def test_endpoint_bounds_parallelism(max_parallel):
+    RpcEndpoint(url="http://x", username="u", password="p", max_parallel=MAX_PARALLEL)
+    with pytest.raises(IntegrityError, match=f"1..{MAX_PARALLEL}"):
+        RpcEndpoint(url="http://x", username="u", password="p", max_parallel=max_parallel)
 
 
 # -- JSON-RPC fetching -------------------------------------------------------
@@ -383,4 +389,4 @@ def test_fetch_https_trusts_the_default_verify_paths(tls_rpc_server, monkeypatch
 def test_times_beyond_int64_cannot_be_serialized(tmp_path):
     ds = Dataset((VerificationSample(features=make_block(), verify_time_us=2.0**63),))
     with pytest.raises(FormatError, match="int64"):
-        write_dataset(ds, DatasetFile(tmp_path / "bad.csv"))
+        write_dataset(ds, tmp_path / "bad.csv")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from joist import Dataset, DatasetFile, JoistError, ModelKind, ModelSpec, load_model, read_dataset, save_model
+from joist import Dataset, JoistError, ModelKind, ModelSpec, load_model, read_dataset, save_model
 from joist.cli import _synth_spec_from_json
 from joist.features import COLUMNS
 from joist.ingest import CSV_HEADER, _dataset, _row_columns, write_dataset
@@ -49,8 +49,8 @@ def _outcome(fn):
 @given(ds=datasets())
 def test_csv_write_read_round_trip(work, ds):
     path = work / "round_trip.csv"
-    write_dataset(ds, DatasetFile(path))
-    assert read_dataset(DatasetFile(path)) == ds
+    write_dataset(ds, path)
+    assert read_dataset(path) == ds
 
 
 # Field texts each reader must treat alike: lenient int() forms, int64
@@ -101,7 +101,7 @@ def _file(*rows: str) -> bytes:
 def test_fast_reader_agrees_with_row_reader(work, raw):
     path = work / "mutated.csv"
     path.write_bytes(raw)
-    fast = _outcome(lambda: read_dataset(DatasetFile(path)))
+    fast = _outcome(lambda: read_dataset(path))
     rows = _outcome(lambda: _dataset(_row_columns(raw, path), path))
     assert fast == rows
 
@@ -111,7 +111,7 @@ def test_fast_reader_agrees_with_row_reader(work, raw):
 def test_arbitrary_bytes_give_a_dataset_or_a_joist_error(work, raw, with_header):
     path = work / "arbitrary.csv"
     path.write_bytes((CSV_HEADER.encode() + b"\n" if with_header else b"") + raw)
-    _outcome(lambda: read_dataset(DatasetFile(path)))
+    _outcome(lambda: read_dataset(path))
 
 
 @_SETTINGS
