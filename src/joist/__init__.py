@@ -26,7 +26,6 @@ from .errors import (
     UnsupportedKindError,
 )
 from .experiment import (
-    BlockComposition,
     ComparisonRow,
     CompositionReport,
     SplitPlan,
@@ -42,7 +41,6 @@ from .features import (
     BlockFeatures,
     Dataset,
     TxFeatures,
-    VerificationSample,
     aggregate_block,
     extract_tx_features,
 )
@@ -62,7 +60,6 @@ from .models import (
     load_model,
     n_predictors,
     predict,
-    predictor_vector,
     save_model,
 )
 from .stats import (

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     ShapeError,
     SynthSpecError,
 )
-from .features import FEATURE_COLUMNS, Dataset
+from .features import COUNT_COLUMNS, FEATURE_COLUMNS, Dataset
 from .fit import ols_fit
 from .models import PREDICTORS, ModelKind, ModelSpec, n_predictors, predict
 from .rng import SplitMix64, gaussians, shuffled_indices
@@ -34,7 +34,7 @@ _MAX_SEED = (1 << 64) - 1
 _INT64_MAX = (1 << 63) - 1
 
 # Feature columns reported by correlation_table, in table order.
-CORRELATION_FEATURES = ("transparent_in", "transparent_out", "spend", "output", "joinsplit")
+CORRELATION_FEATURES = tuple(c.removeprefix("n_") for c in COUNT_COLUMNS)
 
 COMPARISON_CSV_HEADER = (
     "model,split,n,mae_us,emr,r2,adj_r2,max_abs_error_us,max_prediction_us,n_exceeding"
@@ -145,13 +145,6 @@ def correlation_table(ds: Dataset) -> dict[str, float | None]:
     return table
 
 
-class BlockComposition(NamedTuple):
-    height: int
-    transparent_in: float
-    spend_output: float
-    joinsplit: float
-
-
 @dataclass(frozen=True, eq=False)
 class CompositionReport:
     """Per-block and mean shares of transparent inputs, Spend+Output
@@ -170,11 +163,6 @@ class CompositionReport:
     mean_spend_output: float | None
     mean_joinsplit: float | None
     n_excluded: int
-
-    @property
-    def per_block(self) -> tuple[BlockComposition, ...]:
-        columns = (self.heights, self.transparent_in, self.spend_output, self.joinsplit)
-        return tuple(BlockComposition(*row) for row in zip(*(c.tolist() for c in columns)))
 
 
 def composition_analysis(ds: Dataset) -> CompositionReport:

@@ -13,7 +13,7 @@ file formats lives in :mod:`joist.ingest`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +41,32 @@ FEATURE_COLUMNS = {"byte": "size_bytes", **{c.removeprefix("n_"): c for c in COU
 
 _INT64 = np.iinfo(np.int64)
 
+# The value rules, in the order a row is checked: (column, rule, test for
+# breaking values). Each test takes a whole column or a single value.
+_RULES = (
+    ("size_bytes", "> 0", lambda v: v <= 0),
+    *((name, ">= 0", lambda v: v < 0) for name in COUNT_COLUMNS),
+    ("verify_time_us", "finite and > 0", lambda v: ~((v > 0) & np.isfinite(v))),
+)
+
+
+def first_violation(columns: Mapping[str, np.ndarray]) -> tuple[int, str] | None:
+    """The first row, in the order given, that breaks a value rule, and the
+    message of the first rule (in _RULES order) it breaks; None if none does."""
+    failed = [(name, rule, bad) for name, rule, test in _RULES if (bad := test(columns[name])).any()]
+    if not failed:
+        return None
+    i = min(int(bad.argmax()) for _, _, bad in failed)
+    name, rule, _ = next(f for f in failed if f[2][i])
+    return i, f"{name} must be {rule}, got {columns[name][i]}"
+
+
+def _check_fields(record, names: Sequence[str]) -> None:
+    """Raise IntegrityError for the first of the record's fields *names* that breaks its rule."""
+    for name, rule, test in _RULES:
+        if name in names and test(value := getattr(record, name)):
+            raise IntegrityError(f"{name} must be {rule}, got {value}")
+
 
 @dataclass(frozen=True)
 class TxFeatures:
@@ -60,9 +86,7 @@ class TxFeatures:
     is_coinbase: bool = False
 
     def __post_init__(self) -> None:
-        for name in COUNT_COLUMNS:
-            if getattr(self, name) < 0:
-                raise IntegrityError(f"{name} must be >= 0, got {getattr(self, name)}")
+        _check_fields(self, COUNT_COLUMNS)
         if self.is_coinbase and self.n_transparent_in != 0:
             raise IntegrityError("a coinbase transaction has no countable transparent inputs")
 
@@ -80,27 +104,7 @@ class BlockFeatures:
     n_joinsplit: int
 
     def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise IntegrityError(f"size_bytes must be > 0, got {self.size_bytes}")
-        for name in COUNT_COLUMNS:
-            if getattr(self, name) < 0:
-                raise IntegrityError(f"{name} must be >= 0, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
-class VerificationSample:
-    """One observation: a block's features paired with its measured verification time.
-
-    Times are kept as integer microseconds in files; in memory a float is
-    accepted so models can be re-fitted on their own (fractional) predictions.
-    """
-
-    features: BlockFeatures
-    verify_time_us: int | float
-
-    def __post_init__(self) -> None:
-        if not self.verify_time_us > 0:
-            raise IntegrityError(f"verify_time_us must be > 0, got {self.verify_time_us}")
+        _check_fields(self, COLUMNS[1:-1])
 
 
 class Dataset:
@@ -109,30 +113,24 @@ class Dataset:
     Each name in :data:`COLUMNS` is a read-only numpy attribute: int64, except
     that ``verify_time_us`` may be float64 so models can be re-fitted on their
     own (fractional) predictions. Heights must be strictly increasing; use
-    :meth:`from_columns` or :meth:`from_samples` to build a dataset from
-    unordered material.
+    :meth:`from_columns` to build a dataset from rows in any order.
     """
 
     __slots__ = COLUMNS
 
-    def __init__(self, data: Mapping[str, ArrayLike] | Iterable[VerificationSample]):
-        """Build from a mapping of every name in COLUMNS to a column, or from samples."""
-        if not isinstance(data, Mapping):
-            data = _sample_columns(data)
+    def __init__(self, data: Mapping[str, ArrayLike]):
+        """Build from a mapping of every name in COLUMNS to a column."""
         n = len(data["height"])
         if n < 1:
             raise IntegrityError("a dataset needs at least one sample")
-        for name in COLUMNS:
-            object.__setattr__(self, name, _column(name, data[name], n))
+        columns = {name: _column(name, data[name], n) for name in COLUMNS}
+        for name, col in columns.items():
+            object.__setattr__(self, name, col)
+        violation = first_violation(columns)
+        if violation is not None:
+            i, message = violation
+            raise IntegrityError(f"height {self.height[i]}: {message}")
         h = self.height
-        checks = [("size_bytes", self.size_bytes <= 0, "> 0")]
-        checks += [(name, getattr(self, name) < 0, ">= 0") for name in COUNT_COLUMNS]
-        t = self.verify_time_us
-        checks.append(("verify_time_us", ~((t > 0) & np.isfinite(t)), "finite and > 0"))
-        for name, bad, rule in checks:
-            if bad.any():
-                i = int(bad.argmax())
-                raise IntegrityError(f"height {h[i]}: {name} must be {rule}, got {getattr(self, name)[i]}")
         steps = np.flatnonzero(h[1:] <= h[:-1])
         if steps.size:
             prev, cur = h[steps[0]], h[steps[0] + 1]
@@ -156,11 +154,6 @@ class Dataset:
     def __repr__(self) -> str:
         return f"Dataset({len(self)} rows, heights {self.height[0]}..{self.height[-1]})"
 
-    def __iter__(self) -> Iterator[VerificationSample]:
-        """The rows as :class:`VerificationSample` records (slow; for per-row callers)."""
-        for *features, t in zip(*(getattr(self, c).tolist() for c in COLUMNS)):
-            yield VerificationSample(BlockFeatures(*features), t)
-
     def take(self, indices: ArrayLike) -> "Dataset":
         """The rows at *indices* (which must keep heights increasing)."""
         return Dataset({c: getattr(self, c)[indices] for c in COLUMNS})
@@ -170,18 +163,6 @@ class Dataset:
         """Build a dataset from columns with rows in any order (stably sorted by height here)."""
         order = np.argsort(np.asarray(columns["height"]), kind="stable")
         return cls({c: np.asarray(columns[c])[order] for c in COLUMNS})
-
-    @classmethod
-    def from_samples(cls, samples: Iterable[VerificationSample]) -> "Dataset":
-        """Build a dataset from samples in any order (stably sorted by height here)."""
-        return cls.from_columns(_sample_columns(samples))
-
-
-def _sample_columns(samples: Iterable[VerificationSample]) -> dict[str, list]:
-    samples = list(samples)
-    columns = {c: [getattr(s.features, c) for s in samples] for c in COLUMNS[:-1]}
-    columns["verify_time_us"] = [s.verify_time_us for s in samples]
-    return columns
 
 
 def _column(name: str, values: ArrayLike, n: int) -> np.ndarray:

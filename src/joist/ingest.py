@@ -37,9 +37,9 @@ from .features import (
     COLUMNS,
     BlockFeatures,
     Dataset,
-    VerificationSample,
     aggregate_block,
     extract_tx_features,
+    first_violation,
 )
 
 CSV_HEADER = ",".join(COLUMNS)
@@ -141,10 +141,9 @@ def _block_features_from_record(block: Mapping, height: int) -> BlockFeatures:
     if size > _INT64.max:
         raise ParseError(f"block {height}: size {size} does not fit the dataset format's int64")
     try:
-        tx_features = [extract_tx_features(tx) for tx in txs]
-    except ParseError as exc:
-        raise ParseError(f"block {height}: {exc}") from exc
-    return aggregate_block(tx_features, height=height, size_bytes=size)
+        return aggregate_block([extract_tx_features(tx) for tx in txs], height=height, size_bytes=size)
+    except (ParseError, IntegrityError) as exc:
+        raise type(exc)(f"block {height}: {exc}") from exc
 
 
 def _fetch_one(endpoint: RpcEndpoint, height: int) -> BlockFeatures:
@@ -264,7 +263,7 @@ def _fast_columns(raw: bytes) -> dict[str, np.ndarray] | None:
 
 
 def _row_columns(raw: bytes, path) -> dict[str, np.ndarray]:
-    """Parse and validate the file one row at a time, naming the first bad line."""
+    """Parse the file one row at a time and check its values, naming the first bad line."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -273,21 +272,30 @@ def _row_columns(raw: bytes, path) -> dict[str, np.ndarray]:
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[0] != CSV_HEADER:
         raise FormatError(f'{path}: bad header; expected "{CSV_HEADER}"')
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line == "":
-            continue
-        parts = line.split(",")
-        if len(parts) != len(COLUMNS):
-            raise FormatError(f"{path}:{lineno}: expected {len(COLUMNS)} fields, got {len(parts)}")
-        values = [_parse_field(part, f"{path}:{lineno}") for part in parts]
-        try:
-            VerificationSample(features=BlockFeatures(*values[:-1]), verify_time_us=values[-1])
-        except IntegrityError as exc:
-            raise IntegrityError(f"{path}:{lineno}: {exc}") from exc
-        rows.append(values)
+    rows, linenos = [], []
+    try:
+        for lineno, line in enumerate(lines[1:], start=2):
+            if line == "":
+                continue
+            parts = line.split(",")
+            if len(parts) != len(COLUMNS):
+                raise FormatError(f"{path}:{lineno}: expected {len(COLUMNS)} fields, got {len(parts)}")
+            rows.append([_parse_field(part, f"{path}:{lineno}") for part in parts])
+            linenos.append(lineno)
+    except FormatError:
+        _checked_columns(rows, linenos, path)  # a bad value on an earlier line is named first
+        raise
+    return _checked_columns(rows, linenos, path)
+
+
+def _checked_columns(rows: list[list[int]], linenos: list[int], path) -> dict[str, np.ndarray]:
     table = np.array(rows, dtype=np.int64).reshape(-1, len(COLUMNS))
-    return dict(zip(COLUMNS, table.T))
+    columns = dict(zip(COLUMNS, table.T))
+    violation = first_violation(columns)
+    if violation is not None:
+        i, message = violation
+        raise IntegrityError(f"{path}:{linenos[i]}: {message}")
+    return columns
 
 
 def _parse_field(part: str, where: str) -> int:

@@ -35,8 +35,8 @@ class ModelKind(str, Enum):
     FIXED_RATE = "fixed_rate"
 
 
-# Predictor names per kind, in the fixed order shared by predictor_vector(),
-# predict(), and the fitter's design matrix.
+# Predictor names per kind, in the fixed order shared by predict() and the
+# fitter's design matrix.
 PREDICTORS: dict[ModelKind, tuple[str, ...]] = {
     ModelKind.JOIST: ("joinsplit", "output", "transparent_in", "spend"),
     ModelKind.BLOCK_SIZE: ("byte",),
@@ -71,11 +71,6 @@ class ModelSpec:
 # Baseline byte-rate model from the simulation literature: mean validation
 # time over mean block size, used for comparison without fitting.
 GERVAIS_BASELINE = ModelSpec(ModelKind.FIXED_RATE, {"byte": 0.3796}, 0.0)
-
-
-def predictor_vector(kind: ModelKind, block: BlockFeatures) -> list[float]:
-    """The block's predictor values in the fixed per-kind order."""
-    return [float(getattr(block, FEATURE_COLUMNS[name])) for name in PREDICTORS[kind]]
 
 
 def predict(model: ModelSpec, data: BlockFeatures | Dataset) -> float | np.ndarray:

@@ -2,21 +2,21 @@
 
 Everything random in this package flows through this generator so that splits
 and synthetic datasets are bit-reproducible from a single 64-bit seed, on any
-platform. The derivations are pinned exactly:
+platform. The derivations from blocks of raw draws are pinned exactly:
 
-* bounded ints reduce ``next_uint64() % n`` (bias is irrelevant at our ranges,
+* bounded ints reduce ``draw % n`` (bias is irrelevant at our ranges,
   reproducibility is not),
-* unit floats take the top 53 bits, shifted into (0, 1],
-* gaussians use Box-Muller cosine form, consuming two raw draws per value,
+* unit floats take the top 53 bits, shifted into (0, 1] (``unit_floats``),
+* gaussians use Box-Muller cosine form, one per pair of draws (``gaussians``),
 * shuffles are modern Fisher-Yates, swapping index i (from n-1 down to 1)
-  with ``next_below(i + 1)``.
+  with ``draw % (i + 1)``, one draw per swap.
 
 SplitMix64 is counter-based (Steele, Lea & Flood, "Fast Splittable
 Pseudorandom Number Generators", OOPSLA 2014): the state only ever advances by
 the constant gamma, so the k-th output after state ``s`` is
 ``mix(s + k * gamma mod 2**64)``, independent of every other output.
 :meth:`SplitMix64.next_block` uses that to draw a whole block of outputs as
-one numpy computation, bit-identical to the same number of scalar draws.
+one numpy computation, bit-identical to as many ``next_uint64()`` calls.
 """
 
 from __future__ import annotations
@@ -63,27 +63,6 @@ class SplitMix64:
         z *= np.uint64(_MIX2)
         z ^= z >> np.uint64(31)
         return z
-
-    def next_below(self, n: int) -> int:
-        """Uniform-ish integer in [0, n)."""
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        return self.next_uint64() % n
-
-    def next_int(self, lo: int, hi: int) -> int:
-        """Uniform-ish integer in the inclusive range [lo, hi]."""
-        if lo > hi:
-            raise ValueError(f"empty range [{lo}, {hi}]")
-        return lo + self.next_below(hi - lo + 1)
-
-    def next_unit(self) -> float:
-        """Float in (0, 1], with 53 bits of resolution."""
-        return float(unit_floats(self.next_block(1))[0])
-
-    def next_gaussian(self) -> float:
-        """Standard normal draw (Box-Muller, cosine branch; two raw draws)."""
-        u1, u2 = self.next_block(2)
-        return float(gaussians(u1[None], u2[None])[0])
 
 
 def unit_floats(words: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -12,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from joist import BlockFeatures, Dataset, ModelKind, ModelSpec, SynthSpec, VerificationSample
+from joist import BlockFeatures, Dataset, ModelKind, ModelSpec, SynthSpec
+from joist.features import COLUMNS, FEATURE_COLUMNS
+from joist.models import PREDICTORS
 
 _TESTS_DIR = Path(__file__).resolve().parent
 
@@ -102,15 +105,21 @@ def make_block(
 
 
 def make_dataset(rows) -> Dataset:
-    """Rows of (height, size, n_in, n_out, n_spend, n_output, n_js, time_us)."""
-    samples = [
-        VerificationSample(
-            features=make_block(h, size, n_in, n_out, n_spend, n_output, n_js),
-            verify_time_us=time_us,
-        )
-        for (h, size, n_in, n_out, n_spend, n_output, n_js, time_us) in rows
-    ]
-    return Dataset.from_samples(samples)
+    """Rows of (height, size, n_in, n_out, n_spend, n_output, n_js, time_us), in any height order."""
+    return Dataset.from_columns({c: [row[i] for row in rows] for i, c in enumerate(COLUMNS)})
+
+
+def rows(ds: Dataset) -> list[tuple]:
+    """The dataset's rows as tuples in COLUMNS order, the inverse of make_dataset.
+
+    ``make_block(*row[:-1])`` gives a row's BlockFeatures.
+    """
+    return list(zip(*(getattr(ds, c).tolist() for c in COLUMNS)))
+
+
+def predictor_vector(kind: ModelKind, block: BlockFeatures) -> list[float]:
+    """The block's predictor values in the fixed per-kind order (per-row reference)."""
+    return [float(getattr(block, FEATURE_COLUMNS[name])) for name in PREDICTORS[kind]]
 
 
 def default_synth_spec(**overrides) -> SynthSpec:
@@ -133,6 +142,37 @@ def default_synth_spec(**overrides) -> SynthSpec:
     )
     params.update(overrides)
     return SynthSpec(**params)
+
+
+# ---------------------------------------------------------------------------
+# Scalar draws: one SplitMix64 output at a time, the reference for the block
+# derivations in joist.rng and the per-row loops that use them.
+# ---------------------------------------------------------------------------
+
+def next_below(rng, n: int) -> int:
+    """Uniform-ish integer in [0, n)."""
+    if n <= 0:
+        raise ValueError(f"n must be positive, got {n}")
+    return rng.next_uint64() % n
+
+
+def next_int(rng, lo: int, hi: int) -> int:
+    """Uniform-ish integer in the inclusive range [lo, hi]."""
+    if lo > hi:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    return lo + next_below(rng, hi - lo + 1)
+
+
+def next_unit(rng) -> float:
+    """Float in (0, 1], with 53 bits of resolution."""
+    return ((rng.next_uint64() >> 11) + 1) * 2.0**-53
+
+
+def next_gaussian(rng) -> float:
+    """Standard normal draw (Box-Muller, cosine branch; two raw draws)."""
+    u1 = next_unit(rng)
+    u2 = next_unit(rng)
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +250,24 @@ TRUNCATED_HEIGHT = 105
 # reverse proxy in front of a stopped node does.
 BAD_GATEWAY_HEIGHT = 106
 
+# Records that break a BlockFeatures or TxFeatures invariant: a size of zero,
+# a negative size, and a coinbase transaction that also spends an input.
+ZERO_SIZE_HEIGHT = 107
+NEGATIVE_SIZE_HEIGHT = 108
+COINBASE_WITH_INPUT_HEIGHT = 109
+
 # height -> block record; 103 deliberately lacks its "size" field.
 TEST_CHAIN = {
     100: {"size": 285, "tx": [_coinbase_tx(n_out=2)]},
     101: {"size": 1523, "tx": [_coinbase_tx(), _plain_tx(n_in=2, n_out=3, n_spend=1, n_output=4)]},
     102: {"size": 4820, "tx": [_coinbase_tx(), _plain_tx(n_in=1, n_out=2, n_js=2), _plain_tx(n_out=1, n_js=1)]},
     103: {"tx": [_coinbase_tx()]},
+    ZERO_SIZE_HEIGHT: {"size": 0, "tx": [_coinbase_tx()]},
+    NEGATIVE_SIZE_HEIGHT: {"size": -285, "tx": [_coinbase_tx()]},
+    COINBASE_WITH_INPUT_HEIGHT: {
+        "size": 285,
+        "tx": [{"vin": [{"coinbase": "04deadbeef"}, {"txid": "t00", "vout": 0}], "vout": [{"n": 0}]}],
+    },
 }
 
 # Expected model-relevant counts per height, mirroring TEST_CHAIN by hand.

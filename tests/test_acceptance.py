@@ -51,6 +51,7 @@ from conftest import (
     naive_pearson,
     naive_r_squared,
     rel_close,
+    rows,
 )
 
 _COUNT_RANGES = {
@@ -162,7 +163,7 @@ def test_criterion_4_ols_statistical_recovery(noisy_15k):
         for name, value in truth.items()
     ]
     t = [float(v) for v in predict_set.verify_time_us.tolist()]
-    t_hat = [predict(result.model, s.features) for s in predict_set]
+    t_hat = [predict(result.model, make_block(*row[:-1])) for row in rows(predict_set)]
     checks.append(("predict-set R2 >= 0.8", r_squared(t, t_hat) >= 0.8))
     _criterion(4, "noisy 5k/10k split recovers coefficients and predicts well", checks)
 

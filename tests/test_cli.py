@@ -14,7 +14,14 @@ from joist import ModelKind, ModelSpec, load_model, read_dataset, save_model
 from joist.cli import main
 from joist.ingest import CSV_HEADER
 
-from conftest import RPC_PASS, RPC_USER, STRING_ERROR_HEIGHT, make_dataset
+from conftest import (
+    COINBASE_WITH_INPUT_HEIGHT,
+    RPC_PASS,
+    RPC_USER,
+    STRING_ERROR_HEIGHT,
+    ZERO_SIZE_HEIGHT,
+    make_dataset,
+)
 from joist import write_dataset
 
 _TRUTH = ModelSpec(
@@ -376,6 +383,16 @@ def test_fetch_unknown_height_is_data_error(monkeypatch, tmp_path, rpc_server, c
     code = main(["fetch", "--from", "900", "--to", "901", "--out", str(tmp_path / "f.csv")])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("height", [ZERO_SIZE_HEIGHT, COINBASE_WITH_INPUT_HEIGHT])
+def test_fetch_invalid_block_record_is_data_error_naming_the_block(monkeypatch, tmp_path, rpc_server, capsys, height):
+    _set_rpc_env(monkeypatch, rpc_server)
+    out = tmp_path / "f.csv"
+    code = main(["fetch", "--from", str(height), "--to", str(height), "--out", str(out)])
+    assert code == 2
+    assert f"error: block {height}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fetch_unreachable_node_is_remote_error(monkeypatch, tmp_path, closed_port_url, capsys):

@@ -24,7 +24,6 @@ from joist import (
     generate_synthetic,
     pearson_r,
     predict,
-    predictor_vector,
     r_squared,
     split,
 )
@@ -34,7 +33,17 @@ from joist.fit import design_matrix
 from joist.models import PREDICTORS
 from joist.rng import SplitMix64, shuffled_indices
 
-from conftest import REFERENCE_BLOCK_SIZE, REFERENCE_JOIST, default_synth_spec, make_dataset
+from conftest import (
+    REFERENCE_BLOCK_SIZE,
+    REFERENCE_JOIST,
+    default_synth_spec,
+    make_block,
+    make_dataset,
+    next_gaussian,
+    next_int,
+    predictor_vector,
+    rows,
+)
 
 _SYNTH_BYTES = {"joinsplit": 1802, "output": 948, "transparent_in": 150, "spend": 384}
 
@@ -44,14 +53,14 @@ def _reference_synthetic(spec) -> list[tuple]:
     names = PREDICTORS[ModelKind.JOIST]
     coeffs = spec.true_model.coefficients
     rng = SplitMix64(spec.seed)
-    rows = []
+    table = []
     for height in range(1, spec.n_blocks + 1):
-        counts = {name: rng.next_int(*spec.count_ranges[name]) for name in names}
+        counts = {name: next_int(rng, *spec.count_ranges[name]) for name in names}
         exact = spec.true_model.intercept_us + sum(coeffs[n] * counts[n] for n in names)
-        time_noise = rng.next_gaussian() * spec.noise_sigma_us
+        time_noise = next_gaussian(rng) * spec.noise_sigma_us
         affine_size = 1000 + sum(_SYNTH_BYTES[n] * counts[n] for n in names)
-        size_noise = rng.next_gaussian() * 0.05 * affine_size
-        rows.append(
+        size_noise = next_gaussian(rng) * 0.05 * affine_size
+        table.append(
             (
                 height,
                 max(1, round(affine_size + size_noise)),
@@ -63,14 +72,7 @@ def _reference_synthetic(spec) -> list[tuple]:
                 max(1, round(exact + time_noise)),
             )
         )
-    return rows
-
-
-def _rows(ds: Dataset) -> list[tuple]:
-    return [
-        (f.height, f.size_bytes, f.n_transparent_in, f.n_transparent_out, f.n_spend, f.n_output, f.n_joinsplit, t)
-        for f, t in ((s.features, s.verify_time_us) for s in ds)
-    ]
+    return table
 
 
 @pytest.mark.parametrize(
@@ -94,7 +96,7 @@ def _rows(ds: Dataset) -> list[tuple]:
 )
 def test_generate_synthetic_matches_the_per_row_loop(overrides):
     spec = default_synth_spec(**overrides)
-    assert _rows(generate_synthetic(spec)) == _reference_synthetic(spec)
+    assert rows(generate_synthetic(spec)) == _reference_synthetic(spec)
 
 
 @pytest.fixture(scope="module")
@@ -106,37 +108,38 @@ def noisy() -> Dataset:
 def test_predict_on_a_dataset_matches_per_block_predict(noisy, model):
     column = predict(model, noisy)
     assert column.dtype == np.float64
-    assert column.tolist() == [predict(model, s.features) for s in noisy]
+    assert column.tolist() == [predict(model, make_block(*row[:-1])) for row in rows(noisy)]
 
 
 @pytest.mark.parametrize("kind", [ModelKind.JOIST, ModelKind.BLOCK_SIZE])
 def test_design_matrix_matches_per_row_predictor_vectors(noisy, kind):
     x, y = design_matrix(kind, noisy)
-    rows = [predictor_vector(kind, s.features) + [1.0] for s in noisy]
-    assert np.array_equal(x, np.array(rows, dtype=np.float64))
-    assert y.tolist() == [float(s.verify_time_us) for s in noisy]
+    vectors = [predictor_vector(kind, make_block(*row[:-1])) + [1.0] for row in rows(noisy)]
+    assert np.array_equal(x, np.array(vectors, dtype=np.float64))
+    assert y.tolist() == [float(row[-1]) for row in rows(noisy)]
 
 
 def test_split_matches_per_row_selection(noisy):
     plan = SplitPlan(seed=17, n_fit=700, n_predict=1300)
     order = shuffled_indices(len(noisy), SplitMix64(plan.seed))
-    samples = list(noisy)
+    all_rows = rows(noisy)
     fit_set, predict_set = split(noisy, plan)
-    assert fit_set == Dataset(tuple(samples[i] for i in sorted(order[: plan.n_fit])))
-    assert predict_set == Dataset(tuple(samples[i] for i in sorted(order[plan.n_fit :])))
+    assert fit_set == make_dataset([all_rows[i] for i in sorted(order[: plan.n_fit])])
+    assert predict_set == make_dataset([all_rows[i] for i in sorted(order[plan.n_fit :])])
 
 
 def test_composition_matches_per_block_division():
     rng = random.Random(5)
-    rows = [(h, 100, rng.randrange(4), 0, rng.randrange(3), rng.randrange(3), rng.randrange(2), 10) for h in range(1, 300)]
-    report = composition_analysis(make_dataset(rows))
+    table = [(h, 100, rng.randrange(4), 0, rng.randrange(3), rng.randrange(3), rng.randrange(2), 10) for h in range(1, 300)]
+    report = composition_analysis(make_dataset(table))
     expected = []
-    for h, _, n_in, _, n_spend, n_output, n_js, _ in rows:
+    for h, _, n_in, _, n_spend, n_output, n_js, _ in table:
         denom = n_in + n_spend + n_output + n_js
         if denom:
             expected.append((h, n_in / denom, (n_spend + n_output) / denom, n_js / denom))
-    assert [tuple(b) for b in report.per_block] == expected
-    assert report.n_excluded == len(rows) - len(expected)
+    columns = (report.heights, report.transparent_in, report.spend_output, report.joinsplit)
+    assert list(zip(*(c.tolist() for c in columns))) == expected
+    assert report.n_excluded == len(table) - len(expected)
     assert report.mean_transparent_in == fsum(e[1] for e in expected) / len(expected)
     assert report.mean_joinsplit == fsum(e[3] for e in expected) / len(expected)
 
@@ -153,9 +156,9 @@ def _reference_pearson(x, t):
 def test_statistics_match_the_per_element_formulas(noisy):
     t = [float(v) for v in noisy.verify_time_us.tolist()]
     for name, r in correlation_table(noisy).items():
-        x = [float(getattr(s.features, "n_" + name)) for s in noisy]
+        x = [float(v) for v in getattr(noisy, "n_" + name).tolist()]
         assert r == _reference_pearson(x, t)
-    t_hat = [predict(REFERENCE_JOIST["ssd_5k"], s.features) for s in noisy]
+    t_hat = [predict(REFERENCE_JOIST["ssd_5k"], make_block(*row[:-1])) for row in rows(noisy)]
     t_mean = fsum(t) / len(t)
     ss_res = fsum((ti - hi) ** 2 for ti, hi in zip(t, t_hat))
     ss_tot = fsum((ti - t_mean) ** 2 for ti in t)

@@ -6,7 +6,6 @@ import pytest
 
 from joist import (
     GERVAIS_BASELINE,
-    Dataset,
     IntegrityError,
     ModelKind,
     ModelSpec,
@@ -15,7 +14,6 @@ from joist import (
     SplitPlan,
     SynthSpec,
     SynthSpecError,
-    VerificationSample,
     composition_analysis,
     correlation_table,
     emit_plot_data,
@@ -27,7 +25,7 @@ from joist import (
 from joist.experiment import COMPARISON_CSV_HEADER, comparison_csv_lines
 from joist.rng import SplitMix64
 
-from conftest import default_synth_spec, make_block, make_dataset
+from conftest import default_synth_spec, make_dataset, next_int
 
 
 # -- split -----------------------------------------------------------------
@@ -139,20 +137,13 @@ def test_comparison_csv_shape(ds_15k):
 
 def test_correlation_table_identifies_the_driving_feature():
     rng = SplitMix64(31337)
-    samples = []
+    rows = []
     for height in range(1, 501):
-        n_js = rng.next_int(0, 9)
-        features = make_block(
-            height=height,
-            size_bytes=rng.next_int(200, 5000),
-            n_transparent_in=rng.next_int(0, 50),
-            n_transparent_out=rng.next_int(0, 50),
-            n_spend=rng.next_int(0, 8),
-            n_output=rng.next_int(0, 8),
-            n_joinsplit=n_js,
-        )
-        samples.append(VerificationSample(features=features, verify_time_us=10 * n_js + 1))
-    table = correlation_table(Dataset(tuple(samples)))
+        n_js = next_int(rng, 0, 9)
+        size_bytes = next_int(rng, 200, 5000)
+        n_in, n_out, n_spend, n_output = (next_int(rng, 0, hi) for hi in (50, 50, 8, 8))
+        rows.append((height, size_bytes, n_in, n_out, n_spend, n_output, n_js, 10 * n_js + 1))
+    table = correlation_table(make_dataset(rows))
     assert table["joinsplit"] == pytest.approx(1.0, abs=1e-12)
     for name in ("transparent_in", "transparent_out", "spend", "output"):
         assert abs(table[name]) < 0.2
@@ -173,8 +164,8 @@ def test_correlation_table_flags_constant_columns():
 def test_composition_hand_case():
     ds = make_dataset([(1, 100, 9, 0, 1, 0, 0, 10)])
     report = composition_analysis(ds)
-    (block,) = report.per_block
-    assert (block.transparent_in, block.spend_output, block.joinsplit) == (0.9, 0.1, 0.0)
+    shares = (report.transparent_in, report.spend_output, report.joinsplit)
+    assert [share.tolist() for share in shares] == [[0.9], [0.1], [0.0]]
     assert report.n_excluded == 0
     assert report.mean_transparent_in == pytest.approx(0.9)
 
@@ -188,14 +179,15 @@ def test_composition_excludes_coinbase_only_blocks():
     )
     report = composition_analysis(ds)
     assert report.n_excluded == 1
-    assert len(report.per_block) == 1
-    assert report.per_block[0].height == 2
+    assert report.heights.tolist() == [2]
+    assert len(report.transparent_in) == len(report.spend_output) == len(report.joinsplit) == 1
 
 
 def test_composition_all_excluded_has_no_means():
     ds = make_dataset([(1, 100, 0, 2, 0, 0, 0, 10)])
     report = composition_analysis(ds)
-    assert report.per_block == ()
+    assert report.heights.tolist() == []
+    assert [len(c) for c in (report.transparent_in, report.spend_output, report.joinsplit)] == [0, 0, 0]
     assert report.mean_transparent_in is None
     assert report.n_excluded == 1
 
@@ -203,10 +195,8 @@ def test_composition_all_excluded_has_no_means():
 def test_composition_ratios_sum_to_one():
     ds = generate_synthetic(default_synth_spec(n_blocks=300, seed=8))
     report = composition_analysis(ds)
-    for block in report.per_block:
-        assert block.transparent_in + block.spend_output + block.joinsplit == pytest.approx(
-            1.0, abs=1e-12
-        )
+    for total in (report.transparent_in + report.spend_output + report.joinsplit).tolist():
+        assert total == pytest.approx(1.0, abs=1e-12)
     assert (
         report.mean_transparent_in + report.mean_spend_output + report.mean_joinsplit
     ) == pytest.approx(1.0, abs=1e-12)
@@ -242,19 +232,15 @@ def test_synthetic_zero_ranges_reduce_to_rounded_intercept():
         n_blocks=25,
     )
     ds = generate_synthetic(spec)
-    assert all(s.verify_time_us == 4469 for s in ds)
+    assert ds.verify_time_us.tolist() == [4469] * 25
     assert ds.height.tolist() == list(range(1, 26))
 
 
 def test_synthetic_counts_respect_ranges():
     ds = generate_synthetic(default_synth_spec(n_blocks=500, seed=13))
-    for s in ds:
-        f = s.features
-        assert 0 <= f.n_joinsplit <= 5
-        assert 0 <= f.n_output <= 20
-        assert 0 <= f.n_transparent_in <= 200
-        assert 0 <= f.n_spend <= 10
-        assert f.size_bytes >= 1
+    for name, hi in (("n_joinsplit", 5), ("n_output", 20), ("n_transparent_in", 200), ("n_spend", 10)):
+        assert all(0 <= v <= hi for v in getattr(ds, name).tolist()), name
+    assert ds.size_bytes.min() >= 1
 
 
 def test_synthetic_rejects_impossible_time_recipes():

@@ -1,20 +1,25 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 import pytest
 
 from joist import (
+    BlockFeatures,
     Dataset,
     IntegrityError,
     ParseError,
     TxFeatures,
-    VerificationSample,
     aggregate_block,
     extract_tx_features,
 )
 
-from conftest import make_block
+from joist.experiment import CORRELATION_FEATURES
+from joist.features import COLUMNS, COUNT_COLUMNS, FEATURE_COLUMNS
+from joist.models import PREDICTORS
+
+from conftest import make_block, make_dataset
 
 
 def _tx(n_in=0, n_out=0, n_spend=0, n_output=0, n_js=0, coinbase=False):
@@ -116,33 +121,50 @@ def test_block_size_must_be_positive():
         make_block(size_bytes=0)
 
 
+def _row(height, time_us=10):
+    return (height, 1000, 0, 0, 0, 0, 0, time_us)
+
+
 def test_verification_time_must_be_positive():
-    with pytest.raises(IntegrityError):
-        VerificationSample(features=make_block(), verify_time_us=0)
-    with pytest.raises(IntegrityError):
-        VerificationSample(features=make_block(), verify_time_us=-5)
-
-
-def _sample(height, time_us=10):
-    return VerificationSample(features=make_block(height=height), verify_time_us=time_us)
+    with pytest.raises(IntegrityError, match="verify_time_us must be finite and > 0, got 0"):
+        make_dataset([_row(1, time_us=0)])
+    with pytest.raises(IntegrityError, match="verify_time_us must be finite and > 0, got -5"):
+        make_dataset([_row(1, time_us=-5)])
 
 
 def test_dataset_rejects_duplicate_heights():
     with pytest.raises(IntegrityError, match="100"):
-        Dataset((_sample(99), _sample(100), _sample(100)))
+        make_dataset([_row(99), _row(100), _row(100)])
 
 
 def test_dataset_rejects_decreasing_heights():
     with pytest.raises(IntegrityError):
-        Dataset((_sample(5), _sample(3)))
+        Dataset({c: [v5, v3] for c, v5, v3 in zip(COLUMNS, _row(5), _row(3))})
 
 
 def test_dataset_rejects_empty():
     with pytest.raises(IntegrityError):
-        Dataset(())
+        Dataset({c: [] for c in COLUMNS})
 
 
-def test_dataset_from_samples_sorts_by_height():
-    ds = Dataset.from_samples([_sample(9), _sample(2), _sample(5)])
+def test_dataset_from_columns_sorts_by_height():
+    ds = make_dataset([_row(9), _row(2), _row(5)])
     assert ds.height.tolist() == [2, 5, 9]
     assert len(ds) == 3
+
+
+def test_dataset_names_the_first_bad_row_and_its_first_broken_rule():
+    # Row order decides, not rule order: height 2 breaks only the time rule,
+    # height 3 breaks the size rule first.
+    rows = [_row(1), (2, 1000, 0, 0, 0, 0, 0, 0), (3, 0, 0, 0, -1, 0, 0, 0)]
+    with pytest.raises(IntegrityError, match=r"^height 2: verify_time_us must be finite and > 0, got 0$"):
+        make_dataset(rows)
+    with pytest.raises(IntegrityError, match=r"^height 3: size_bytes must be > 0, got 0$"):
+        make_dataset([rows[0], rows[2]])
+
+
+def test_feature_names_come_from_the_column_table():
+    assert tuple(f.name for f in fields(BlockFeatures)) == COLUMNS[:-1]
+    assert tuple(f.name for f in fields(TxFeatures) if f.name != "is_coinbase") == COUNT_COLUMNS
+    assert all(name in FEATURE_COLUMNS for names in PREDICTORS.values() for name in names)
+    assert CORRELATION_FEATURES == ("transparent_in", "transparent_out", "spend", "output", "joinsplit")

@@ -11,13 +11,12 @@ from joist import (
     RankDeficiencyError,
     SampleCountError,
     UnsupportedKindError,
-    VerificationSample,
     ols_fit,
 )
 from joist.fit import design_matrix
 from joist.models import PREDICTORS
 
-from conftest import default_synth_spec, make_block, make_dataset, rel_close
+from conftest import default_synth_spec, make_block, make_dataset, rel_close, rows
 from joist import generate_synthetic
 
 # Ground truth for the hand-rolled exact datasets below.
@@ -128,11 +127,8 @@ def test_refit_on_own_predictions_reproduces_coefficients():
     first = ols_fit(ModelKind.JOIST, train).model
     from joist import predict
 
-    refit_samples = [
-        VerificationSample(features=s.features, verify_time_us=predict(first, s.features))
-        for s in train
-    ]
-    second = ols_fit(ModelKind.JOIST, Dataset(tuple(refit_samples))).model
+    refit_rows = [(*row[:-1], predict(first, make_block(*row[:-1]))) for row in rows(train)]
+    second = ols_fit(ModelKind.JOIST, make_dataset(refit_rows)).model
     for name in PREDICTORS[ModelKind.JOIST]:
         assert rel_close(second.coefficients[name], first.coefficients[name], 1e-9)
     assert rel_close(second.intercept_us, first.intercept_us, 1e-9)
@@ -141,22 +137,7 @@ def test_refit_on_own_predictions_reproduces_coefficients():
 def test_fit_is_permutation_invariant_over_rows():
     base = _exact_joist_dataset(n_blocks=60, seed=6)
     # Same rows, heights reassigned so the height-sorted row order reverses.
-    reversed_rows = [
-        VerificationSample(
-            features=make_block(
-                height=len(base) - i,
-                size_bytes=s.features.size_bytes,
-                n_transparent_in=s.features.n_transparent_in,
-                n_transparent_out=s.features.n_transparent_out,
-                n_spend=s.features.n_spend,
-                n_output=s.features.n_output,
-                n_joinsplit=s.features.n_joinsplit,
-            ),
-            verify_time_us=s.verify_time_us,
-        )
-        for i, s in enumerate(base)
-    ]
-    permuted = Dataset.from_samples(reversed_rows)
+    permuted = make_dataset([(len(base) - i, *row[1:]) for i, row in enumerate(rows(base))])
     a = ols_fit(ModelKind.JOIST, base).model
     b = ols_fit(ModelKind.JOIST, permuted).model
     for name in PREDICTORS[ModelKind.JOIST]:

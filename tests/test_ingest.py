@@ -7,14 +7,12 @@ from http.server import ThreadingHTTPServer
 import pytest
 
 from joist import (
-    Dataset,
     FormatError,
     HeightRangeError,
     IntegrityError,
     ParseError,
     RpcConnectionError,
     RpcEndpoint,
-    VerificationSample,
     fetch_block_features,
     read_dataset,
     write_dataset,
@@ -24,11 +22,14 @@ from joist.ingest import CSV_HEADER, MAX_PARALLEL
 
 from conftest import (
     BAD_GATEWAY_HEIGHT,
+    COINBASE_WITH_INPUT_HEIGHT,
+    NEGATIVE_SIZE_HEIGHT,
     RPC_PASS,
     RPC_USER,
     STRING_ERROR_HEIGHT,
     TRUNCATED_HEIGHT,
     TEST_CHAIN_EXPECTED,
+    ZERO_SIZE_HEIGHT,
     _RpcHandler,
     make_block,
     make_dataset,
@@ -71,7 +72,7 @@ def test_rows_written_in_height_order(tmp_path):
 
 
 def test_fractional_times_cannot_be_serialized(tmp_path):
-    ds = Dataset((VerificationSample(features=make_block(), verify_time_us=10.5),))
+    ds = make_dataset([(1, 1000, 0, 0, 0, 0, 0, 10.5)])
     with pytest.raises(FormatError):
         write_dataset(ds, tmp_path / "bad.csv")
 
@@ -247,6 +248,18 @@ def test_fetch_block_missing_size_field(rpc_server):
         fetch_block_features(_endpoint(rpc_server), (103, 103))
 
 
+@pytest.mark.parametrize("height, size", [(ZERO_SIZE_HEIGHT, 0), (NEGATIVE_SIZE_HEIGHT, -285)])
+def test_fetch_nonpositive_block_size_names_the_block(rpc_server, height, size):
+    with pytest.raises(IntegrityError, match=rf"^block {height}: size_bytes must be > 0, got {size}$"):
+        fetch_block_features(_endpoint(rpc_server), (height, height))
+
+
+def test_fetch_coinbase_with_an_input_names_the_block(rpc_server):
+    h = COINBASE_WITH_INPUT_HEIGHT
+    with pytest.raises(IntegrityError, match=rf"^block {h}: a coinbase transaction has no countable"):
+        fetch_block_features(_endpoint(rpc_server), (h, h))
+
+
 def test_fetch_unknown_height(rpc_server):
     with pytest.raises(HeightRangeError, match="200"):
         fetch_block_features(_endpoint(rpc_server), (200, 201))
@@ -387,6 +400,6 @@ def test_fetch_https_trusts_the_default_verify_paths(tls_rpc_server, monkeypatch
 
 
 def test_times_beyond_int64_cannot_be_serialized(tmp_path):
-    ds = Dataset((VerificationSample(features=make_block(), verify_time_us=2.0**63),))
+    ds = make_dataset([(1, 1000, 0, 0, 0, 0, 0, 2.0**63)])
     with pytest.raises(FormatError, match="int64"):
         write_dataset(ds, tmp_path / "bad.csv")

@@ -14,7 +14,6 @@ from joist import (
     load_model,
     n_predictors,
     predict,
-    predictor_vector,
     save_model,
 )
 from joist.models import PREDICTORS
@@ -25,6 +24,7 @@ from conftest import (
     REFERENCE_BLOCK_SIZE,
     REFERENCE_JOIST,
     make_block,
+    predictor_vector,
 )
 
 # Counts (n_joinsplit, n_output, n_transparent_in, n_spend) = (1, 2, 3, 4).

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from joist import Dataset, JoistError, ModelKind, ModelSpec, load_model, read_dataset, save_model
+from joist import Dataset, IntegrityError, JoistError, ModelKind, ModelSpec, load_model, read_dataset, save_model
 from joist.cli import _synth_spec_from_json
-from joist.features import COLUMNS
+from joist.features import COLUMNS, COUNT_COLUMNS
 from joist.ingest import CSV_HEADER, _dataset, _row_columns, write_dataset
 from joist.models import PREDICTORS, from_json_dict
 
@@ -104,6 +104,58 @@ def test_fast_reader_agrees_with_row_reader(work, raw):
     fast = _outcome(lambda: read_dataset(path))
     rows = _outcome(lambda: _dataset(_row_columns(raw, path), path))
     assert fast == rows
+
+
+@st.composite
+def files_with_bad_values(draw):
+    """A valid dataset CSV with 1-3 cells broken (size <= 0, count < 0 or
+    time <= 0), sometimes with shuffled rows, blank lines or CRLF line ends."""
+    ds = draw(datasets(max_rows=8))
+    table = [[str(v) for v in row] for row in zip(*(getattr(ds, c).tolist() for c in COLUMNS))]
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.sampled_from(table))
+        column = draw(st.integers(1, len(COLUMNS) - 1))
+        highest = -1 if COLUMNS[column] in COUNT_COLUMNS else 0
+        row[column] = str(draw(st.integers(-(2**63), highest)))
+    if draw(st.booleans()):
+        table = draw(st.permutations(table))
+    lines = [",".join(row) for row in table]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join([CSV_HEADER, *lines]) + end
+
+
+def _first_bad_cell(text: str) -> tuple[int, str]:
+    """The row check the reader used to make, one row at a time in file order:
+    the line and column of the first broken value rule."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        values = dict(zip(COLUMNS, map(int, line.split(","))))
+        if values["size_bytes"] <= 0:
+            return lineno, "size_bytes"
+        for name in COUNT_COLUMNS:
+            if values[name] < 0:
+                return lineno, name
+        if values["verify_time_us"] <= 0:
+            return lineno, "verify_time_us"
+    raise AssertionError("the file breaks no value rule")
+
+
+@settings(_SETTINGS, max_examples=200)
+@given(text=files_with_bad_values())
+@example(text=_file("1,5,0,0,0,0,0,0", "2,0,0,0,0,0,0,5").decode())  # row order beats rule order
+@example(text=_file("2,5,0,0,0,0,0,5", "1,0,0,0,-1,0,0,0").decode())  # size before counts and time
+@example(text=_file("1,5,0,0,0,-3,-2,5", "", "2,5,0,0,0,0,0,0").decode().replace("\n", "\r\n"))
+def test_reader_names_the_first_bad_line_and_column(work, text):
+    path = work / "bad_values.csv"
+    path.write_bytes(text.encode())
+    lineno, name = _first_bad_cell(text)
+    with pytest.raises(IntegrityError) as excinfo:
+        read_dataset(path)
+    assert str(excinfo.value).startswith(f"{path}:{lineno}: {name} must be ")
 
 
 @_SETTINGS

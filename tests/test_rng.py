@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from joist.rng import SplitMix64, shuffled_indices
+from joist.rng import SplitMix64, gaussians, shuffled_indices, unit_floats
+
+from conftest import next_below, next_gaussian, next_int, next_unit
 
 # First outputs of the reference implementation for seed 0.
 _SEED0_VECTOR = [
@@ -39,11 +42,13 @@ def test_seed_bounds():
         SplitMix64(1 << 64)
 
 
+# The scalar draws are test-local references (conftest); these pin them.
+
 def test_next_below_range_and_coverage():
     rng = SplitMix64(7)
     seen = set()
     for _ in range(500):
-        v = rng.next_below(7)
+        v = next_below(rng, 7)
         assert 0 <= v < 7
         seen.add(v)
     assert seen == set(range(7))
@@ -51,28 +56,30 @@ def test_next_below_range_and_coverage():
 
 def test_next_below_rejects_nonpositive():
     with pytest.raises(ValueError):
-        SplitMix64(1).next_below(0)
+        next_below(SplitMix64(1), 0)
 
 
 def test_next_int_inclusive_bounds():
     rng = SplitMix64(11)
-    seen = {rng.next_int(3, 5) for _ in range(200)}
+    seen = {next_int(rng, 3, 5) for _ in range(200)}
     assert seen == {3, 4, 5}
-    assert rng.next_int(9, 9) == 9
+    assert next_int(rng, 9, 9) == 9
     with pytest.raises(ValueError):
-        rng.next_int(5, 4)
+        next_int(rng, 5, 4)
 
 
 def test_next_unit_in_half_open_interval():
     rng = SplitMix64(13)
     for _ in range(1000):
-        u = rng.next_unit()
+        u = next_unit(rng)
         assert 0.0 < u <= 1.0
+    edges = unit_floats(np.array([0, (1 << 64) - 1], dtype=np.uint64))
+    assert edges.tolist() == [2.0**-53, 1.0]
 
 
 def test_gaussian_moments():
-    rng = SplitMix64(17)
-    draws = [rng.next_gaussian() for _ in range(20000)]
+    words = SplitMix64(17).next_block(40000).reshape(-1, 2)
+    draws = gaussians(words[:, 0], words[:, 1]).tolist()
     mean = sum(draws) / len(draws)
     var = sum((d - mean) ** 2 for d in draws) / len(draws)
     assert abs(mean) < 0.03
@@ -98,7 +105,7 @@ def _scalar_shuffle(n, rng):
     """The Fisher-Yates loop with one scalar draw per swap (the reference)."""
     indices = list(range(n))
     for i in range(n - 1, 0, -1):
-        j = rng.next_below(i + 1)
+        j = next_below(rng, i + 1)
         indices[i], indices[j] = indices[j], indices[i]
     return indices
 
@@ -135,9 +142,8 @@ def test_shuffled_indices_match_the_scalar_loop(n):
 
 def test_unit_and_gaussian_draws_match_the_scalar_formulas():
     rng, reference = SplitMix64(4242), SplitMix64(4242)
-    for _ in range(2000):
-        u1 = ((reference.next_uint64() >> 11) + 1) * 2.0**-53
-        assert rng.next_unit() == u1
-        u1 = ((reference.next_uint64() >> 11) + 1) * 2.0**-53
-        u2 = ((reference.next_uint64() >> 11) + 1) * 2.0**-53
-        assert rng.next_gaussian() == math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    units = unit_floats(rng.next_block(2000)).tolist()
+    assert units == [next_unit(reference) for _ in range(2000)]
+    words = rng.next_block(4000).reshape(-1, 2)
+    assert gaussians(words[:, 0], words[:, 1]).tolist() == [next_gaussian(reference) for _ in range(2000)]
+    assert rng.next_uint64() == reference.next_uint64()
