@@ -62,17 +62,6 @@ from .models import (
     predict,
     save_model,
 )
-from .stats import (
-    EvalReport,
-    ExtremeValues,
-    PearsonResult,
-    adjusted_r_squared,
-    emr,
-    evaluate,
-    extreme_value_report,
-    mae,
-    pearson_r,
-    r_squared,
-)
+from .stats import EvalReport, adjusted_r_squared, evaluate
 
 __version__ = "0.1.0"

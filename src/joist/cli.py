@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import experiment, models
-from .errors import DataError, FormatError, JoistError, NumericalError, RemoteError
+from .errors import FormatError, JoistError, NumericalError, RemoteError
 from .experiment import SplitPlan, SynthSpec
 from .fit import ols_fit
 from .stats import evaluate
@@ -44,6 +44,15 @@ EXIT_NUMERICAL = 4
 
 class _UsageError(Exception):
     pass
+
+
+# The exit code of an error: the first entry whose type it is an instance of.
+_EXIT_CODES = (
+    (_UsageError, EXIT_USAGE),
+    (NumericalError, EXIT_NUMERICAL),
+    (RemoteError, EXIT_REMOTE),
+    (Exception, EXIT_DATA),
+)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -286,21 +295,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, JoistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except RemoteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REMOTE
-    except (DataError, JoistError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

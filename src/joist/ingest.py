@@ -295,6 +295,15 @@ def _checked_columns(rows: list[list[int]], linenos: list[int], path) -> dict[st
     if violation is not None:
         i, message = violation
         raise IntegrityError(f"{path}:{linenos[i]}: {message}")
+    # A stable sort keeps equal heights in file order: each repeat follows its first line.
+    order = np.argsort(columns["height"], kind="stable")
+    heights = columns["height"][order]
+    repeats = np.flatnonzero(heights[1:] == heights[:-1]) + 1
+    if repeats.size:
+        i = int(order[repeats].min())
+        h = columns["height"][i]
+        k = linenos[order[np.searchsorted(heights, h)]]
+        raise IntegrityError(f"{path}:{linenos[i]}: duplicate height {h} (first on line {k})")
     return columns
 
 

@@ -1,4 +1,5 @@
-"""Evaluation statistics: correlation, error metrics, and fit quality.
+"""Evaluation statistics: :func:`evaluate` computes every error and fit-quality
+metric of a model on a dataset, and :func:`correlation` gives Pearson's r.
 
 Inputs may be sequences or numpy arrays; differences and products are taken
 elementwise in float64 and statistics are two-pass (mean, then centred
@@ -158,39 +159,6 @@ def require_finite(values: np.ndarray, what: str) -> None:
         raise NumericalError(f"{bad} of {len(values)} {what} are not finite")
 
 
-def _check_paired(t: ArrayLike, t_hat: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
-    if len(t) != len(t_hat):
-        raise ShapeError(f"length mismatch: {len(t)} observed vs {len(t_hat)} predicted")
-    if len(t) == 0:
-        raise ShapeError("empty input")
-    t, t_hat = _floats(t), _floats(t_hat)
-    require_finite(t_hat, "predictions")
-    return t, t_hat
-
-
-def _check_count(n: int) -> None:
-    if n < 2:
-        raise ShapeError(f"need at least 2 observations, got {n}")
-
-
-class PearsonResult(NamedTuple):
-    r: float
-    n: int
-
-
-def pearson_r(x: ArrayLike, t: ArrayLike) -> PearsonResult:
-    """Pearson's correlation coefficient between a feature series and times.
-
-    Raises:
-        ShapeError: on length mismatch or fewer than two observations.
-        DegenerateVarianceError: if either series is constant.
-    """
-    if len(x) != len(t):
-        raise ShapeError(f"length mismatch: {len(x)} vs {len(t)}")
-    _check_count(len(x))
-    return PearsonResult(r=correlation(centred(x), centred(t)), n=len(x))
-
-
 def correlation(x: Centred, t: Centred) -> float:
     """Pearson's r of two centred series of equal length.
 
@@ -205,63 +173,11 @@ def correlation(x: Centred, t: Centred) -> float:
     return sxt / (sqrt(x.sum_squares) * sqrt(t.sum_squares))
 
 
-def mae(t: ArrayLike, t_hat: ArrayLike) -> float:
-    """Mean absolute prediction error, in the units of the inputs."""
-    t, t_hat = _check_paired(t, t_hat)
-    return exact_sum(np.abs(t - t_hat)) / len(t)
-
-
-def _error_mean_ratio(mae_us: float, t_mean: float) -> float:
-    if t_mean <= 0.0:
-        raise DegenerateDataError(f"mean observed value must be positive, got {t_mean}")
-    return mae_us / t_mean
-
-
-def emr(t: ArrayLike, t_hat: ArrayLike) -> float:
-    """Error mean ratio: MAE divided by the mean observed value."""
-    t, t_hat = _check_paired(t, t_hat)
-    return _error_mean_ratio(mae(t, t_hat), exact_sum(t) / len(t))
-
-
-def _r_squared(t: Centred, residuals: np.ndarray) -> float:
-    _check_count(len(residuals))
-    if t.sum_squares == 0.0:
-        raise DegenerateVarianceError("observed series is constant; R^2 undefined")
-    return 1.0 - exact_sum(squares(residuals)) / t.sum_squares
-
-
-def r_squared(t: ArrayLike, t_hat: ArrayLike) -> float:
-    """Coefficient of determination. May be negative for models worse than the mean."""
-    t, t_hat = _check_paired(t, t_hat)
-    return _r_squared(centred(t), t - t_hat)
-
-
 def adjusted_r_squared(r2: float, n: int, p: int) -> float:
     """R^2 penalized for predictor count p; requires n > p + 1."""
     if n <= p + 1:
         raise SampleCountError(f"need n > p + 1 (n={n}, p={p})")
     return 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
-
-
-class ExtremeValues(NamedTuple):
-    max_prediction_us: float
-    n_exceeding_max_prediction: int
-    max_abs_error_us: float
-
-
-def _extremes(t: np.ndarray, t_hat: np.ndarray, abs_errors: np.ndarray) -> ExtremeValues:
-    max_pred = float(t_hat.max())
-    return ExtremeValues(
-        max_prediction_us=max_pred,
-        n_exceeding_max_prediction=int(np.count_nonzero(t > max_pred)),
-        max_abs_error_us=float(abs_errors.max()),
-    )
-
-
-def extreme_value_report(t: ArrayLike, t_hat: ArrayLike) -> ExtremeValues:
-    """Extreme-value fitness: how often measurements exceed the model's ceiling."""
-    t, t_hat = _check_paired(t, t_hat)
-    return _extremes(t, t_hat, np.abs(t - t_hat))
 
 
 @dataclass(frozen=True)
@@ -283,28 +199,45 @@ def evaluate(t: ArrayLike, t_hat: ArrayLike, n_predictors: int) -> EvalReport:
     """Full evaluation of predictions against observations.
 
     ``n_predictors`` comes from the model kind (4 for the feature model, 1 for
-    the byte-rate models), never inferred from the data.
+    the byte-rate models), never inferred from the data. R^2 may be negative
+    for a model worse than the mean.
 
-    Raises:
-        NumericalError: if a prediction is not finite or a square or sum is
-            beyond float range, besides the errors of the single statistics.
+    Raises, checking in this order:
+        ShapeError: if the lengths differ, or the input is empty.
+        NumericalError: if a prediction or an observed value is not finite.
+        ShapeError: if there are fewer than two observations.
+        DegenerateVarianceError: if the observed series is constant.
+        NumericalError: if a square or sum is beyond float range.
+        DegenerateDataError: if the mean observed value is not positive.
+        SampleCountError: unless n > n_predictors + 1.
     """
-    t, t_hat = _check_paired(t, t_hat)
+    if len(t) != len(t_hat):
+        raise ShapeError(f"length mismatch: {len(t)} observed vs {len(t_hat)} predicted")
     n = len(t)
+    if n == 0:
+        raise ShapeError("empty input")
+    t, t_hat = _floats(t), _floats(t_hat)
+    require_finite(t_hat, "predictions")
     observed = centred(t)
+    if n < 2:
+        raise ShapeError(f"need at least 2 observations, got {n}")
+    if observed.sum_squares == 0.0:
+        raise DegenerateVarianceError("observed series is constant; R^2 undefined")
     # |t - t_hat| squares to the same bits as t - t_hat: pow squares |v|.
     abs_errors = np.abs(t - t_hat)
-    r2 = _r_squared(observed, abs_errors)
-    extremes = _extremes(t, t_hat, abs_errors)
+    r2 = 1.0 - exact_sum(squares(abs_errors)) / observed.sum_squares
+    max_prediction_us = float(t_hat.max())
     mae_us = exact_sum(abs_errors) / n
+    if observed.mean <= 0.0:
+        raise DegenerateDataError(f"mean observed value must be positive, got {observed.mean}")
     return EvalReport(
         n=n,
         mae_us=mae_us,
-        emr=_error_mean_ratio(mae_us, observed.mean),
+        emr=mae_us / observed.mean,
         r2=r2,
         adj_r2=adjusted_r_squared(r2, n, n_predictors),
-        max_abs_error_us=extremes.max_abs_error_us,
-        max_prediction_us=extremes.max_prediction_us,
-        n_exceeding_max_prediction=extremes.n_exceeding_max_prediction,
+        max_abs_error_us=float(abs_errors.max()),
+        max_prediction_us=max_prediction_us,
+        n_exceeding_max_prediction=int(np.count_nonzero(t > max_prediction_us)),
         mean_observed_us=observed.mean,
     )

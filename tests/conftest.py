@@ -21,11 +21,14 @@ _TESTS_DIR = Path(__file__).resolve().parent
 
 
 def pytest_collection_modifyitems(items):
-    """Make a leaked file or socket fail the test that leaked it, under tests/ only."""
+    """Under tests/ only, make a leaked file or socket, or a floating-point
+    overflow, invalid operation or deprecation warning, fail its test."""
     for item in items:
         if item.path.resolve().is_relative_to(_TESTS_DIR):
             item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
             item.add_marker(pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"))
+            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
+            item.add_marker(pytest.mark.filterwarnings("error::DeprecationWarning"))
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,10 @@ from joist import (
     adjusted_r_squared,
     composition_analysis,
     correlation_table,
-    emr,
+    evaluate,
     generate_synthetic,
-    mae,
     ols_fit,
-    pearson_r,
     predict,
-    r_squared,
     read_dataset,
     run_comparison,
     split,
@@ -38,6 +35,7 @@ from joist import (
 )
 from joist.fit import design_matrix
 from joist.models import PREDICTORS
+from joist.stats import centred, correlation
 
 from conftest import (
     EXPECTED_BLOCK_SIZE_2000B,
@@ -164,7 +162,7 @@ def test_criterion_4_ols_statistical_recovery(noisy_15k):
     ]
     t = [float(v) for v in predict_set.verify_time_us.tolist()]
     t_hat = [predict(result.model, make_block(*row[:-1])) for row in rows(predict_set)]
-    checks.append(("predict-set R2 >= 0.8", r_squared(t, t_hat) >= 0.8))
+    checks.append(("predict-set R2 >= 0.8", evaluate(t, t_hat, 4).r2 >= 0.8))
     _criterion(4, "noisy 5k/10k split recovers coefficients and predicts well", checks)
 
 
@@ -200,27 +198,29 @@ def test_criterion_6_statistics_oracle_suite():
         n = rng.randrange(2, 1001)
         t = [rng.uniform(1.0, 1e6) for _ in range(n)]
         t_hat = [v + rng.gauss(0.0, 2e4) for v in t]
+        report = evaluate(t, t_hat, 0)
         pairs = [
-            (pearson_r(t, t_hat).r, naive_pearson(t, t_hat)),
-            (mae(t, t_hat), naive_mae(t, t_hat)),
-            (emr(t, t_hat), naive_emr(t, t_hat)),
-            (r_squared(t, t_hat), naive_r_squared(t, t_hat)),
+            (correlation(centred(t), centred(t_hat)), naive_pearson(t, t_hat)),
+            (report.mae_us, naive_mae(t, t_hat)),
+            (report.emr, naive_emr(t, t_hat)),
+            (report.r2, naive_r_squared(t, t_hat)),
         ]
         p = rng.randrange(1, 5)
         if n > p + 1:
-            r2 = r_squared(t, t_hat)
+            r2 = report.r2
             pairs.append((adjusted_r_squared(r2, n, p), naive_adjusted_r_squared(r2, n, p)))
         for got, expected in pairs:
             worst = max(worst, abs(got - expected) / max(abs(got), abs(expected), 1e-300))
     checks.append(("oracle agreement within 1e-9", worst <= 1e-9))
 
-    checks.append(("r = +1", abs(pearson_r([1, 2, 3], [2, 4, 6]).r - 1.0) <= 1e-12))
-    checks.append(("r = -1", abs(pearson_r([1, 2, 3], [3, 2, 1]).r + 1.0) <= 1e-12))
+    x = centred([1, 2, 3])
+    checks.append(("r = +1", abs(correlation(x, centred([2, 4, 6])) - 1.0) <= 1e-12))
+    checks.append(("r = -1", abs(correlation(x, centred([3, 2, 1])) + 1.0) <= 1e-12))
     t = [3.0, 9.0, 1.0, 4.0]
-    checks.append(("MAE = 0", mae(t, t) == 0.0))
-    checks.append(("R2 = 1", abs(r_squared(t, t) - 1.0) <= 1e-12))
+    checks.append(("MAE = 0", evaluate(t, t, 0).mae_us == 0.0))
+    checks.append(("R2 = 1", abs(evaluate(t, t, 0).r2 - 1.0) <= 1e-12))
     t_bar = sum(t) / len(t)
-    checks.append(("R2 = 0", abs(r_squared(t, [t_bar] * 4)) <= 1e-12))
+    checks.append(("R2 = 0", abs(evaluate(t, [t_bar] * 4, 0).r2) <= 1e-12))
     adj = adjusted_r_squared(0.9, 11, 4)
     checks.append(("adjusted formula", abs(adj - (1.0 - 0.1 * 10 / 6)) <= 1e-12))
     checks.append(("adjusted value", abs(adj - 0.83333) <= 1e-5))

@@ -8,7 +8,7 @@ import types
 import pytest
 
 import joist
-from joist import experiment, features, models
+from joist import experiment, features, models, stats
 
 PUBLIC_NAMES = [
     "BlockFeatures",
@@ -20,7 +20,6 @@ PUBLIC_NAMES = [
     "DegenerateDataError",
     "DegenerateVarianceError",
     "EvalReport",
-    "ExtremeValues",
     "FitResult",
     "FormatError",
     "GERVAIS_BASELINE",
@@ -31,7 +30,6 @@ PUBLIC_NAMES = [
     "ModelSpec",
     "NumericalError",
     "ParseError",
-    "PearsonResult",
     "RankDeficiencyError",
     "RemoteError",
     "RpcConnectionError",
@@ -48,19 +46,14 @@ PUBLIC_NAMES = [
     "composition_analysis",
     "correlation_table",
     "emit_plot_data",
-    "emr",
     "evaluate",
     "extract_tx_features",
-    "extreme_value_report",
     "fetch_block_features",
     "generate_synthetic",
     "load_model",
-    "mae",
     "n_predictors",
     "ols_fit",
-    "pearson_r",
     "predict",
-    "r_squared",
     "read_dataset",
     "run_comparison",
     "save_model",
@@ -86,3 +79,11 @@ def test_public_names_are_pinned():
 def test_per_row_record_layer_is_gone(module, name):
     assert not hasattr(joist, name)
     assert not hasattr(module, name)
+
+
+@pytest.mark.parametrize(
+    "name", ["pearson_r", "PearsonResult", "mae", "emr", "r_squared", "extreme_value_report", "ExtremeValues"]
+)
+def test_single_statistic_api_is_gone(name):
+    assert not hasattr(joist, name)
+    assert not hasattr(stats, name)

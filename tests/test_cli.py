@@ -212,6 +212,20 @@ def test_overflowing_predictions_are_numerical_errors(tmp_path, capsys, coeffici
     assert not (tmp_path / "plot.csv.line.json").exists()
 
 
+@pytest.mark.parametrize(
+    "coefficient, code, message",
+    [(1e308, 4, "1 of 1 predictions are not finite"), (1.0, 2, "at least 2 observations")],
+)
+def test_evaluate_one_row_checks_predictions_before_count(tmp_path, capsys, coefficient, code, message):
+    data_path = tmp_path / "one.csv"
+    write_dataset(make_dataset([(1, 1000, 100, 101, 1, 1, 1, 50)]), data_path)
+    model_path = tmp_path / "m.json"
+    save_model(ModelSpec(ModelKind.JOIST, dict.fromkeys(_TRUTH.coefficients, coefficient), 0.0), model_path)
+    assert main(["evaluate", "--model", str(model_path), "--data", str(data_path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_correlate_flags_degenerate_columns(tmp_path, capsys):
     rows = [(h, 100 + h, h % 5, 1 + h % 4, 0, h % 3, h % 2, 50 + 13 * h) for h in range(1, 41)]
     data_path = tmp_path / "data.csv"
@@ -253,6 +267,18 @@ def test_bad_header_is_data_error(tmp_path, capsys):
     path.write_text("h,s\n1,2\n")
     assert main(["correlate", "--data", str(path)]) == 2
     assert CSV_HEADER in capsys.readouterr().err
+
+
+def test_duplicate_height_names_its_line(tmp_path, capsys):
+    path = tmp_path / "dup.csv"
+    path.write_text(
+        CSV_HEADER
+        + "\n100,285,0,2,0,0,0,1807\n101,1523,2,4,1,4,0,95321\n102,4820,1,4,0,0,3,41002\n101,900,0,1,0,0,0,500\n"
+    )
+    assert main(["correlate", "--data", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}:5: duplicate height 101 (first on line 3)" in captured.err
 
 
 def test_undecodable_data_file_is_data_error(tmp_path, capsys):

@@ -21,10 +21,9 @@ from joist import (
     SplitPlan,
     composition_analysis,
     correlation_table,
+    evaluate,
     generate_synthetic,
-    pearson_r,
     predict,
-    r_squared,
     split,
 )
 from joist.experiment import CORRELATION_FEATURES
@@ -32,6 +31,7 @@ from joist.features import FEATURE_COLUMNS
 from joist.fit import design_matrix
 from joist.models import PREDICTORS
 from joist.rng import SplitMix64, shuffled_indices
+from joist.stats import centred, correlation
 
 from conftest import (
     REFERENCE_BLOCK_SIZE,
@@ -162,8 +162,8 @@ def test_statistics_match_the_per_element_formulas(noisy):
     t_mean = fsum(t) / len(t)
     ss_res = fsum((ti - hi) ** 2 for ti, hi in zip(t, t_hat))
     ss_tot = fsum((ti - t_mean) ** 2 for ti in t)
-    assert r_squared(t, t_hat) == 1.0 - ss_res / ss_tot
-    assert pearson_r(noisy.n_joinsplit, noisy.verify_time_us).r == _reference_pearson(
+    assert evaluate(t, t_hat, 4).r2 == 1.0 - ss_res / ss_tot
+    assert correlation(centred(noisy.n_joinsplit), centred(noisy.verify_time_us)) == _reference_pearson(
         [float(v) for v in noisy.n_joinsplit.tolist()], t
     )
 
@@ -172,7 +172,7 @@ def _per_feature_pearson(ds):
     table = {}
     for name in CORRELATION_FEATURES:
         try:
-            table[name] = pearson_r(getattr(ds, FEATURE_COLUMNS[name]), ds.verify_time_us).r
+            table[name] = correlation(centred(getattr(ds, FEATURE_COLUMNS[name])), centred(ds.verify_time_us))
         except DegenerateVarianceError:
             table[name] = None
     return table

@@ -161,6 +161,30 @@ def test_read_negative_count_is_integrity_error_naming_the_line(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "body, error, message",
+    [
+        # the first line, in file order, whose height already appeared
+        ("102,1,0,0,0,0,0,1\n100,1,0,0,0,0,0,1\n100,1,0,0,0,0,0,1\n102,1,0,0,0,0,0,1\n",
+         IntegrityError, "ds.csv:4: duplicate height 100 (first on line 3)"),
+        # a value fault is named first, even on a later line
+        ("100,1,0,0,0,0,0,1\n100,1,0,0,0,0,0,1\n101,1,0,0,-1,0,0,1\n",
+         IntegrityError, "ds.csv:4: n_spend must be >= 0"),
+        # a duplicate on an earlier line is named before a later format fault
+        ("100,1,0,0,0,0,0,1\n100,1,0,0,0,0,0,1\n101,1,0,0,x,0,0,1\n",
+         IntegrityError, "ds.csv:3: duplicate height 100 (first on line 2)"),
+        ("100,1,0,0,0,0,0,1\n101,1,0,0,x,0,0,1\n100,1,0,0,0,0,0,1\n", FormatError, "ds.csv:3: "),
+    ],
+    ids=["file-order", "value-fault-first", "before-later-format-fault", "after-earlier-format-fault"],
+)
+def test_read_duplicate_height_names_its_line(tmp_path, body, error, message):
+    path = tmp_path / "ds.csv"
+    path.write_text(CSV_HEADER + "\n" + body)
+    with pytest.raises(error) as excinfo:
+        read_dataset(path)
+    assert message in str(excinfo.value)
+
+
 def test_read_rejects_invalid_utf8(tmp_path):
     path = tmp_path / "ds.csv"
     path.write_bytes(CSV_HEADER.encode() + b"\n100,285,0,2,0,0,0,18\xff7\n")

@@ -1,22 +1,21 @@
 from __future__ import annotations
 
 import random
+from math import fsum
 
 import pytest
 
 from joist import (
     DegenerateDataError,
     DegenerateVarianceError,
+    EvalReport,
+    NumericalError,
     SampleCountError,
     ShapeError,
     adjusted_r_squared,
-    emr,
     evaluate,
-    extreme_value_report,
-    mae,
-    pearson_r,
-    r_squared,
 )
+from joist.stats import centred, correlation
 
 from conftest import (
     naive_adjusted_r_squared,
@@ -26,6 +25,10 @@ from conftest import (
     naive_r_squared,
     rel_close,
 )
+
+
+def _r(x, t):
+    return correlation(centred(x), centred(t))
 
 
 def _random_pair(rng, n):
@@ -41,11 +44,12 @@ def test_statistics_match_naive_oracle_on_random_inputs():
     for _ in range(100):
         n = rng.randrange(2, 1001)
         t, t_hat = _random_pair(rng, n)
-        assert rel_close(pearson_r(t, t_hat).r, naive_pearson(t, t_hat), 1e-9)
-        assert rel_close(mae(t, t_hat), naive_mae(t, t_hat), 1e-9)
-        assert rel_close(emr(t, t_hat), naive_emr(t, t_hat), 1e-9)
-        assert rel_close(r_squared(t, t_hat), naive_r_squared(t, t_hat), 1e-9)
-        r2 = r_squared(t, t_hat)
+        report = evaluate(t, t_hat, 0)
+        assert rel_close(_r(t, t_hat), naive_pearson(t, t_hat), 1e-9)
+        assert rel_close(report.mae_us, naive_mae(t, t_hat), 1e-9)
+        assert rel_close(report.emr, naive_emr(t, t_hat), 1e-9)
+        assert rel_close(report.r2, naive_r_squared(t, t_hat), 1e-9)
+        r2 = report.r2
         p = rng.randrange(1, 5)
         if n > p + 1:
             assert rel_close(
@@ -53,32 +57,26 @@ def test_statistics_match_naive_oracle_on_random_inputs():
             )
 
 
-# -- pearson_r -----------------------------------------------------------
+# -- correlation -----------------------------------------------------------
 
 def test_pearson_perfect_positive():
-    assert pearson_r([1, 2, 3], [2, 4, 6]).r == pytest.approx(1.0, abs=1e-12)
+    assert _r([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pearson_perfect_negative():
-    assert pearson_r([1, 2, 3], [3, 2, 1]).r == pytest.approx(-1.0, abs=1e-12)
+    assert _r([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_pearson_hand_value():
     # By hand: covariance 4, variances 5 and 5 -> r = 4/5.
-    result = pearson_r([1, 2, 3, 4], [1, 3, 2, 4])
-    assert result.r == pytest.approx(0.8, abs=1e-12)
-    assert result.n == 4
+    assert _r([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8, abs=1e-12)
 
 
 def test_pearson_errors():
-    with pytest.raises(ShapeError):
-        pearson_r([1, 2], [1, 2, 3])
-    with pytest.raises(ShapeError):
-        pearson_r([1], [1])
     with pytest.raises(DegenerateVarianceError):
-        pearson_r([5, 5, 5], [1, 2, 3])
+        _r([5, 5, 5], [1, 2, 3])
     with pytest.raises(DegenerateVarianceError):
-        pearson_r([1, 2, 3], [7, 7, 7])
+        _r([1, 2, 3], [7, 7, 7])
 
 
 def test_pearson_properties():
@@ -87,75 +85,72 @@ def test_pearson_properties():
         n = rng.randrange(3, 50)
         x = [rng.uniform(-10, 10) for _ in range(n)]
         t = [xi * rng.uniform(0.5, 2) + rng.gauss(0, 3) for xi in x]
-        r = pearson_r(x, t).r
-        assert rel_close(pearson_r(t, x).r, r, 1e-9)
+        r = _r(x, t)
+        assert rel_close(_r(t, x), r, 1e-9)
         a, b = rng.uniform(0.1, 5), rng.uniform(-100, 100)
-        assert rel_close(pearson_r([a * xi + b for xi in x], t).r, r, 1e-9)
-        assert pearson_r([-xi for xi in x], t).r == pytest.approx(-r, rel=1e-9)
+        assert rel_close(_r([a * xi + b for xi in x], t), r, 1e-9)
+        assert _r([-xi for xi in x], t) == pytest.approx(-r, rel=1e-9)
 
 
 # -- mae / emr -----------------------------------------------------------
 
 def test_mae_emr_perfect_prediction():
     t = [3.0, 4.0, 5.0]
-    assert mae(t, t) == 0.0
-    assert emr(t, t) == 0.0
+    report = evaluate(t, t, 0)
+    assert report.mae_us == 0.0
+    assert report.emr == 0.0
 
 
 def test_mae_emr_hand_values():
     t, t_hat = [10, 20, 30], [12, 18, 33]
-    assert mae(t, t_hat) == pytest.approx(7 / 3, abs=1e-12)
-    assert emr(t, t_hat) == pytest.approx(7 / 60, abs=1e-12)
-
-
-def test_mae_emr_single_sample():
-    assert mae([100], [0]) == 100.0
-    assert emr([100], [0]) == 1.0
+    report = evaluate(t, t_hat, 0)
+    assert report.mae_us == pytest.approx(7 / 3, abs=1e-12)
+    assert report.emr == pytest.approx(7 / 60, abs=1e-12)
 
 
 def test_mae_emr_errors():
     with pytest.raises(ShapeError):
-        mae([], [])
+        evaluate([], [], 0)
     with pytest.raises(ShapeError):
-        mae([1], [1, 2])
+        evaluate([1], [1, 2], 0)
     with pytest.raises(DegenerateDataError):
-        emr([-1.0, 1.0], [0.0, 0.0])
+        evaluate([-1.0, 1.0], [0.0, 0.0], 0)
 
 
 def test_mae_translation_and_scale_equivariance():
     rng = random.Random(88)
     for _ in range(20):
-        n = rng.randrange(1, 40)
+        n = rng.randrange(2, 40)
         t, t_hat = _random_pair(rng, n)
-        base_mae = mae(t, t_hat)
-        base_emr = emr(t, t_hat)
+        base = evaluate(t, t_hat, 0)
         c = rng.uniform(-50, 50)
-        assert rel_close(mae([v + c for v in t], [v + c for v in t_hat]), base_mae, 1e-9)
+        assert rel_close(evaluate([v + c for v in t], [v + c for v in t_hat], 0).mae_us, base.mae_us, 1e-9)
         lam = rng.uniform(0.1, 10)
-        assert rel_close(mae([lam * v for v in t], [lam * v for v in t_hat]), lam * base_mae, 1e-9)
-        assert rel_close(emr([lam * v for v in t], [lam * v for v in t_hat]), base_emr, 1e-9)
+        scaled = evaluate([lam * v for v in t], [lam * v for v in t_hat], 0)
+        assert rel_close(scaled.mae_us, lam * base.mae_us, 1e-9)
+        assert rel_close(scaled.emr, base.emr, 1e-9)
 
 
-# -- r_squared / adjusted ------------------------------------------------
+# -- R^2 / adjusted ------------------------------------------------
 
 def test_r_squared_identities():
     t = [3.0, 9.0, 1.0, 4.0]
-    assert r_squared(t, t) == pytest.approx(1.0, abs=1e-12)
+    assert evaluate(t, t, 0).r2 == pytest.approx(1.0, abs=1e-12)
     t_bar = sum(t) / len(t)
-    assert r_squared(t, [t_bar] * len(t)) == pytest.approx(0.0, abs=1e-12)
+    assert evaluate(t, [t_bar] * len(t), 0).r2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_r_squared_can_be_negative():
     # A constant prediction below the mean of skewed data explains less
     # variance than the mean itself.
-    assert r_squared([1.0, 1.0, 1.0, 10.0], [0.0, 0.0, 0.0, 0.0]) < 0.0
+    assert evaluate([1.0, 1.0, 1.0, 10.0], [0.0, 0.0, 0.0, 0.0], 0).r2 < 0.0
 
 
 def test_r_squared_errors():
     with pytest.raises(DegenerateVarianceError):
-        r_squared([4.0, 4.0], [1.0, 2.0])
+        evaluate([4.0, 4.0], [1.0, 2.0], 0)
     with pytest.raises(ShapeError):
-        r_squared([1.0], [1.0])
+        evaluate([1.0], [1.0], 0)
 
 
 def test_adjusted_r_squared_hand_value():
@@ -179,12 +174,12 @@ def test_adjusted_r_squared_sample_count():
 # -- extreme values -------------------------------------------------------
 
 def test_extreme_value_report_hand_cases():
-    report = extreme_value_report([1, 2, 3], [3, 3, 3])
+    report = evaluate([1, 2, 3], [3, 3, 3], 0)
     assert report.max_prediction_us == 3
     assert report.n_exceeding_max_prediction == 0
     assert report.max_abs_error_us == 2
 
-    report = extreme_value_report([1, 2, 10], [2, 2, 2])
+    report = evaluate([1, 2, 10], [2, 2, 2], 0)
     assert report.n_exceeding_max_prediction == 1
     assert report.max_abs_error_us == 8
 
@@ -193,30 +188,65 @@ def test_extreme_value_exceeding_fraction_structure():
     # The exceedance count divided by n is the reported fraction.
     t = [float(i) for i in range(1, 101)]
     t_hat = [86.0] * 100
-    report = extreme_value_report(t, t_hat)
+    report = evaluate(t, t_hat, 0)
     assert report.n_exceeding_max_prediction / len(t) == pytest.approx(0.14)
 
 
 def test_extreme_value_shape_error():
     with pytest.raises(ShapeError):
-        extreme_value_report([1.0], [1.0, 2.0])
+        evaluate([1.0], [1.0, 2.0], 0)
 
 
 # -- evaluate -------------------------------------------------------------
 
-def test_evaluate_combines_individual_statistics():
+def _reference_report(t, t_hat, p):
+    """EvalReport from its per-element definitions: fsum over v ** 2 and abs(v), and max."""
+    n = len(t)
+    d = [a - b for a, b in zip(t, t_hat)]
+    mean = fsum(t) / n
+    r2 = 1.0 - fsum(v**2 for v in d) / fsum((v - mean) ** 2 for v in t)
+    mae_us = fsum(abs(v) for v in d) / n
+    max_prediction_us = max(t_hat)
+    return EvalReport(
+        n=n,
+        mae_us=mae_us,
+        emr=mae_us / mean,
+        r2=r2,
+        adj_r2=1.0 - (1.0 - r2) * (n - 1) / (n - p - 1),
+        max_abs_error_us=max(abs(v) for v in d),
+        max_prediction_us=max_prediction_us,
+        n_exceeding_max_prediction=sum(v > max_prediction_us for v in t),
+        mean_observed_us=mean,
+    )
+
+
+def test_evaluate_matches_per_element_reference_bit_for_bit():
     rng = random.Random(5)
-    t, t_hat = _random_pair(rng, 200)
-    report = evaluate(t, t_hat, n_predictors=4)
-    assert report.n == 200
-    assert report.mae_us == mae(t, t_hat)
-    assert report.emr == emr(t, t_hat)
-    assert report.r2 == r_squared(t, t_hat)
-    assert report.adj_r2 == adjusted_r_squared(report.r2, 200, 4)
-    extremes = extreme_value_report(t, t_hat)
-    assert report.max_prediction_us == extremes.max_prediction_us
-    assert report.max_abs_error_us == extremes.max_abs_error_us
-    assert report.n_exceeding_max_prediction == extremes.n_exceeding_max_prediction
-    assert report.mean_observed_us == pytest.approx(sum(t) / len(t), rel=1e-12)
-    assert report.mae_us >= 0 and report.emr >= 0 and report.r2 <= 1
-    assert report.adj_r2 <= report.r2
+    for _ in range(100):
+        n = rng.randrange(6, 400)
+        scale = 10.0 ** rng.randrange(-3, 12)
+        t = [scale * rng.uniform(1.0, 1e6) for _ in range(n)]
+        t_hat = [v + scale * rng.gauss(0, 1e4) for v in t]
+        p = rng.randrange(0, 5)
+        assert evaluate(t, t_hat, p) == _reference_report(t, t_hat, p)
+
+
+# Each input breaks one check and every check after it, so the type raised
+# pins the order in which evaluate runs them.
+@pytest.mark.parametrize(
+    "t, t_hat, p, error, message",
+    [
+        ([], [float("inf")], 4, ShapeError, "length mismatch"),
+        ([], [], 4, ShapeError, "empty input"),
+        ([-5.0], [float("inf")], 4, NumericalError, "not finite"),
+        ([-5.0], [0.0], 4, ShapeError, "at least 2"),
+        ([-5.0, -5.0], [0.0, 0.0], 4, DegenerateVarianceError, "constant"),
+        ([-1.0, 1.0], [0.0, 0.0], 4, DegenerateDataError, "positive"),
+        ([1.0, 2.0], [1.0, 2.0], 1, SampleCountError, "need n >"),
+    ],
+    ids=["length", "empty", "finite", "count", "constant", "mean", "predictors"],
+)
+def test_evaluate_check_order(t, t_hat, p, error, message):
+    with pytest.raises(error, match=message) as excinfo:
+        evaluate(t, t_hat, p)
+    assert type(excinfo.value) is error
