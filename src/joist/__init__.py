@@ -37,13 +37,7 @@ from .experiment import (
     run_comparison,
     split,
 )
-from .features import (
-    BlockFeatures,
-    Dataset,
-    TxFeatures,
-    aggregate_block,
-    extract_tx_features,
-)
+from .features import Dataset, extract_tx_features
 from .fit import FitResult, ols_fit
 from .ingest import (
     CSV_HEADER,

@@ -84,7 +84,7 @@ def _cmd_fetch(args) -> int:
     features = fetch_block_features(endpoint, (args.from_height, args.to_height))
     write_features_csv(features, args.out)
     print(
-        f"wrote {len(features)} feature rows to {args.out}; verify_time_us is "
+        f"wrote {len(features['height'])} feature rows to {args.out}; verify_time_us is "
         "zero-filled and the file is unusable for fitting until measured times are merged",
         file=sys.stderr,
     )

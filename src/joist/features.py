@@ -6,14 +6,13 @@ descriptions (one zk-SNARK proof each), and transparent inputs (one signature
 check each, assuming P2PKH). Transparent outputs trigger no verification work
 of their own; they are carried only for correlation reporting.
 
-The types here are plain immutable records. Everything that touches wire or
-file formats lives in :mod:`joist.ingest`.
+Fetched counts and dataset rows are columns named by :data:`COLUMNS`.
+Everything that touches wire or file formats lives in :mod:`joist.ingest`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -22,8 +21,8 @@ from .errors import IntegrityError, ParseError
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
 
-# The dataset fields in CSV order; each is a Dataset column and (but for the
-# time) a BlockFeatures attribute.
+# The dataset fields in CSV order, the one place each is named; each is a
+# Dataset column, and all but the time are fetched from a node.
 COLUMNS = (
     "height",
     "size_bytes",
@@ -61,50 +60,11 @@ def first_violation(columns: Mapping[str, np.ndarray]) -> tuple[int, str] | None
     return i, f"{name} must be {rule}, got {columns[name][i]}"
 
 
-def _check_fields(record, names: Sequence[str]) -> None:
-    """Raise IntegrityError for the first of the record's fields *names* that breaks its rule."""
+def _check_fields(row: Mapping[str, int]) -> None:
+    """Raise IntegrityError for the first of *row*'s fields that breaks its rule."""
     for name, rule, test in _RULES:
-        if name in names and test(value := getattr(record, name)):
+        if name in row and test(value := row[name]):
             raise IntegrityError(f"{name} must be {rule}, got {value}")
-
-
-@dataclass(frozen=True)
-class TxFeatures:
-    """Component counts for a single decoded transaction.
-
-    ``n_transparent_in`` counts inputs that reference a previous output; the
-    coinbase input carries no signature check and is never counted. A
-    JoinSplit description counts as one unit even though it may bundle more
-    than one proof internally; the fitted coefficient absorbs the average.
-    """
-
-    n_transparent_in: int
-    n_transparent_out: int
-    n_spend: int
-    n_output: int
-    n_joinsplit: int
-    is_coinbase: bool = False
-
-    def __post_init__(self) -> None:
-        _check_fields(self, COUNT_COLUMNS)
-        if self.is_coinbase and self.n_transparent_in != 0:
-            raise IntegrityError("a coinbase transaction has no countable transparent inputs")
-
-
-@dataclass(frozen=True)
-class BlockFeatures:
-    """Block-level predictor counts: the sums over all constituent transactions."""
-
-    height: int
-    size_bytes: int
-    n_transparent_in: int
-    n_transparent_out: int
-    n_spend: int
-    n_output: int
-    n_joinsplit: int
-
-    def __post_init__(self) -> None:
-        _check_fields(self, COLUMNS[1:-1])
 
 
 class Dataset:
@@ -179,17 +139,24 @@ def _column(name: str, values: ArrayLike, n: int) -> np.ndarray:
     return col
 
 
-def extract_tx_features(tx: Mapping) -> TxFeatures:
+def extract_tx_features(tx: Mapping) -> tuple[int, ...]:
     """Count the model-relevant components of one decoded transaction record.
 
-    The record follows the node's decoded-transaction layout: a ``vin`` list
-    (the coinbase input is the entry carrying a ``coinbase`` key), a ``vout``
-    list, and optional ``vjoinsplit`` / ``vShieldedSpend`` / ``vShieldedOutput``
-    lists. Absent shielded lists mean zero (pre-Sapling and transparent-only
-    transactions).
+    Returns the counts in :data:`COUNT_COLUMNS` order. The record follows the
+    node's decoded-transaction layout: a ``vin`` list (the coinbase input is
+    the entry carrying a ``coinbase`` key), a ``vout`` list, and optional
+    ``vjoinsplit`` / ``vShieldedSpend`` / ``vShieldedOutput`` lists. Absent
+    shielded lists mean zero (pre-Sapling and transparent-only transactions).
+    The transparent input count covers inputs that reference a previous
+    output; the coinbase input carries no signature check and is never
+    counted. A JoinSplit description counts as one unit even though it may
+    bundle more than one proof internally; the fitted coefficient absorbs the
+    average.
 
     Raises:
-        ParseError: if ``vin`` or ``vout`` is missing or not a list.
+        ParseError: if ``vin`` or ``vout`` is missing or not a list, or a
+            shielded field is present but not a list.
+        IntegrityError: if a coinbase transaction also spends an input.
     """
     vin = tx.get("vin")
     if not isinstance(vin, list):
@@ -198,8 +165,8 @@ def extract_tx_features(tx: Mapping) -> TxFeatures:
     if not isinstance(vout, list):
         raise ParseError('transaction record missing mandatory list "vout"')
 
-    is_coinbase = any(isinstance(e, Mapping) and "coinbase" in e for e in vin)
-    n_in = sum(1 for e in vin if not (isinstance(e, Mapping) and "coinbase" in e))
+    n_coinbase = sum(1 for e in vin if isinstance(e, Mapping) and "coinbase" in e)
+    n_in = len(vin) - n_coinbase
 
     def _shielded(key: str) -> int:
         value = tx.get(key)
@@ -209,31 +176,7 @@ def extract_tx_features(tx: Mapping) -> TxFeatures:
             raise ParseError(f'transaction field "{key}" must be a list when present')
         return len(value)
 
-    return TxFeatures(
-        n_transparent_in=n_in,
-        n_transparent_out=len(vout),
-        n_spend=_shielded("vShieldedSpend"),
-        n_output=_shielded("vShieldedOutput"),
-        n_joinsplit=_shielded("vjoinsplit"),
-        is_coinbase=is_coinbase,
-    )
-
-
-def aggregate_block(txs: Sequence[TxFeatures], height: int, size_bytes: int) -> BlockFeatures:
-    """Sum per-transaction counts into the block-level predictor record.
-
-    Raises:
-        IntegrityError: on an empty transaction sequence (every block carries
-            at least its coinbase transaction).
-    """
-    if not txs:
-        raise IntegrityError(f"block {height} has no transactions")
-    return BlockFeatures(
-        height=height,
-        size_bytes=size_bytes,
-        n_transparent_in=sum(t.n_transparent_in for t in txs),
-        n_transparent_out=sum(t.n_transparent_out for t in txs),
-        n_spend=sum(t.n_spend for t in txs),
-        n_output=sum(t.n_output for t in txs),
-        n_joinsplit=sum(t.n_joinsplit for t in txs),
-    )
+    counts = (n_in, len(vout), *map(_shielded, ("vShieldedSpend", "vShieldedOutput", "vjoinsplit")))
+    if n_coinbase and n_in:
+        raise IntegrityError("a coinbase transaction has no countable transparent inputs")
+    return counts

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -33,14 +34,7 @@ from .errors import (
     ParseError,
     RpcConnectionError,
 )
-from .features import (
-    COLUMNS,
-    BlockFeatures,
-    Dataset,
-    aggregate_block,
-    extract_tx_features,
-    first_violation,
-)
+from .features import COLUMNS, Dataset, _check_fields, extract_tx_features, first_violation
 
 CSV_HEADER = ",".join(COLUMNS)
 
@@ -67,8 +61,8 @@ class RpcEndpoint:
     max_parallel: int = 4
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise IntegrityError(f"timeout must be > 0, got {self.timeout}")
+        if not 0 < self.timeout < math.inf:
+            raise IntegrityError(f"timeout must be finite and > 0, got {self.timeout}")
         if not 1 <= self.max_parallel <= MAX_PARALLEL:
             raise IntegrityError(f"max_parallel must be in 1..{MAX_PARALLEL}, got {self.max_parallel}")
 
@@ -131,7 +125,8 @@ class _RpcServerError(Exception):
         self.message = message
 
 
-def _block_features_from_record(block: Mapping, height: int) -> BlockFeatures:
+def _block_row(block: Mapping, height: int) -> list[int]:
+    """The block's fields in COLUMNS order, without the time: its counts summed over its transactions."""
     txs = block.get("tx")
     if not isinstance(txs, list) or not txs:
         raise ParseError(f'block {height}: missing mandatory list "tx"')
@@ -141,12 +136,14 @@ def _block_features_from_record(block: Mapping, height: int) -> BlockFeatures:
     if size > _INT64.max:
         raise ParseError(f"block {height}: size {size} does not fit the dataset format's int64")
     try:
-        return aggregate_block([extract_tx_features(tx) for tx in txs], height=height, size_bytes=size)
+        counts = [sum(c) for c in zip(*map(extract_tx_features, txs))]
+        _check_fields({"size_bytes": size})
     except (ParseError, IntegrityError) as exc:
         raise type(exc)(f"block {height}: {exc}") from exc
+    return [height, size, *counts]
 
 
-def _fetch_one(endpoint: RpcEndpoint, height: int) -> BlockFeatures:
+def _fetch_one(endpoint: RpcEndpoint, height: int) -> list[int]:
     try:
         block_hash = _rpc_call(endpoint, "getblockhash", [height])
     except _RpcServerError as exc:
@@ -157,14 +154,15 @@ def _fetch_one(endpoint: RpcEndpoint, height: int) -> BlockFeatures:
         raise RpcConnectionError(f"getblock failed for height {height}: {exc.message}") from exc
     if not isinstance(block, Mapping):
         raise ParseError(f"block {height}: block record is not an object")
-    return _block_features_from_record(block, height)
+    return _block_row(block, height)
 
 
-def fetch_block_features(endpoint: RpcEndpoint, height_range: tuple[int, int]) -> list[BlockFeatures]:
+def fetch_block_features(endpoint: RpcEndpoint, height_range: tuple[int, int]) -> dict[str, np.ndarray]:
     """Fetch features for every height in the inclusive range, in height order.
 
-    Up to ``endpoint.max_parallel`` requests run concurrently; results are
-    assembled in ascending height order regardless of completion order.
+    Returns an int64 column for each name in COLUMNS but the time. Up to
+    ``endpoint.max_parallel`` requests run concurrently; rows are assembled
+    in ascending height order regardless of completion order.
     """
     lo, hi = height_range
     if lo > hi:
@@ -174,7 +172,8 @@ def fetch_block_features(endpoint: RpcEndpoint, height_range: tuple[int, int]) -
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=min(endpoint.max_parallel, len(heights))) as pool:
-        return list(pool.map(lambda h: _fetch_one(endpoint, h), heights))
+        table = np.array(list(pool.map(lambda h: _fetch_one(endpoint, h), heights)), dtype=np.int64)
+    return dict(zip(COLUMNS[:-1], table.T))
 
 
 def _write_csv(path: str | Path, rows: np.ndarray) -> None:
@@ -203,15 +202,16 @@ def write_dataset(ds: Dataset, path: str | Path) -> None:
     _write_csv(path, np.column_stack([getattr(ds, c) for c in COLUMNS[:-1]] + [t]))
 
 
-def write_features_csv(features: Sequence[BlockFeatures], path: str | Path) -> None:
-    """Write a features-only CSV with verify_time_us zeroed.
+def write_features_csv(columns: Mapping[str, np.ndarray], path: str | Path) -> None:
+    """Write feature columns (every name in COLUMNS but the time) as a CSV with verify_time_us zeroed.
 
-    Such a file fails dataset integrity checks on purpose: it is unusable for
-    fitting until measured times are merged in.
+    Rows are sorted stably by height. Such a file fails dataset integrity
+    checks on purpose: it is unusable for fitting until measured times are
+    merged in.
     """
-    ordered = sorted(features, key=lambda f: f.height)
-    rows = [[getattr(f, c) for c in COLUMNS[:-1]] + [0] for f in ordered]
-    _write_csv(path, np.array(rows, dtype=np.int64).reshape(-1, len(COLUMNS)))
+    order = np.argsort(np.asarray(columns["height"]), kind="stable")
+    table = [np.asarray(columns[c], dtype=np.int64)[order] for c in COLUMNS[:-1]]
+    _write_csv(path, np.column_stack(table + [np.zeros(len(order), dtype=np.int64)]))
 
 
 def read_dataset(path: str | Path) -> Dataset:

@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import FormatError, IntegrityError
-from .features import FEATURE_COLUMNS, BlockFeatures, Dataset
+from .features import FEATURE_COLUMNS, Dataset
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -73,22 +73,19 @@ class ModelSpec:
 GERVAIS_BASELINE = ModelSpec(ModelKind.FIXED_RATE, {"byte": 0.3796}, 0.0)
 
 
-def predict(model: ModelSpec, data: BlockFeatures | Dataset) -> float | np.ndarray:
-    """Predicted verification time in microseconds (unclamped).
+def predict(model: ModelSpec, ds: Dataset) -> np.ndarray:
+    """Predicted verification times in microseconds (unclamped), one float64 per row.
 
-    For one block this is a float; for a dataset, a float64 array with one
-    prediction per row. Both accumulate ``c * x`` in predictor order and add
-    the intercept last, so a row's prediction is bit-identical either way.
-    A prediction beyond float range is inf or NaN, without a warning; the
-    statistics and plot writers reject it as a NumericalError.
+    Each row accumulates ``c * x`` in predictor order and adds the intercept
+    last. A prediction beyond float range is inf or NaN, without a warning;
+    the statistics and plot writers reject it as a NumericalError.
     """
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for name in PREDICTORS[model.kind]:
-            values = np.asarray(getattr(data, FEATURE_COLUMNS[name]), dtype=np.float64)
+            values = np.asarray(getattr(ds, FEATURE_COLUMNS[name]), dtype=np.float64)
             total = total + model.coefficients[name] * values
-        total = total + model.intercept_us
-    return float(total) if np.ndim(total) == 0 else total
+        return total + model.intercept_us
 
 
 def to_json_dict(model: ModelSpec) -> dict:

@@ -10,10 +10,11 @@ import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Mapping
 
 import pytest
 
-from joist import BlockFeatures, Dataset, ModelKind, ModelSpec, SynthSpec
+from joist import Dataset, ModelKind, ModelSpec, SynthSpec, predict
 from joist.features import COLUMNS, FEATURE_COLUMNS
 from joist.models import PREDICTORS
 
@@ -87,7 +88,8 @@ EXPECTED_BLOCK_SIZE_2000B = {
 # Builders
 # ---------------------------------------------------------------------------
 
-def make_block(
+def predict_block(
+    model: ModelSpec,
     height=1,
     size_bytes=1000,
     n_transparent_in=0,
@@ -95,16 +97,10 @@ def make_block(
     n_spend=0,
     n_output=0,
     n_joinsplit=0,
-) -> BlockFeatures:
-    return BlockFeatures(
-        height=height,
-        size_bytes=size_bytes,
-        n_transparent_in=n_transparent_in,
-        n_transparent_out=n_transparent_out,
-        n_spend=n_spend,
-        n_output=n_output,
-        n_joinsplit=n_joinsplit,
-    )
+) -> float:
+    """The model's prediction for one block: predict() on a one-row dataset (time 1)."""
+    row = (height, size_bytes, n_transparent_in, n_transparent_out, n_spend, n_output, n_joinsplit, 1)
+    return float(predict(model, make_dataset([row]))[0])
 
 
 def make_dataset(rows) -> Dataset:
@@ -115,14 +111,15 @@ def make_dataset(rows) -> Dataset:
 def rows(ds: Dataset) -> list[tuple]:
     """The dataset's rows as tuples in COLUMNS order, the inverse of make_dataset.
 
-    ``make_block(*row[:-1])`` gives a row's BlockFeatures.
+    ``predict_block(model, *row[:-1])`` gives a row's prediction.
     """
     return list(zip(*(getattr(ds, c).tolist() for c in COLUMNS)))
 
 
-def predictor_vector(kind: ModelKind, block: BlockFeatures) -> list[float]:
-    """The block's predictor values in the fixed per-kind order (per-row reference)."""
-    return [float(getattr(block, FEATURE_COLUMNS[name])) for name in PREDICTORS[kind]]
+def predictor_vector(kind: ModelKind, block: Mapping[str, int]) -> list[float]:
+    """The block's predictor values, from its column -> value mapping, in the
+    fixed per-kind order (per-row reference)."""
+    return [float(block[FEATURE_COLUMNS[name]]) for name in PREDICTORS[kind]]
 
 
 def default_synth_spec(**overrides) -> SynthSpec:
@@ -253,8 +250,8 @@ TRUNCATED_HEIGHT = 105
 # reverse proxy in front of a stopped node does.
 BAD_GATEWAY_HEIGHT = 106
 
-# Records that break a BlockFeatures or TxFeatures invariant: a size of zero,
-# a negative size, and a coinbase transaction that also spends an input.
+# Records that break a fetched block's value rules: a size of zero, a negative
+# size, and a coinbase transaction that also spends an input.
 ZERO_SIZE_HEIGHT = 107
 NEGATIVE_SIZE_HEIGHT = 108
 COINBASE_WITH_INPUT_HEIGHT = 109

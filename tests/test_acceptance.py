@@ -27,7 +27,6 @@ from joist import (
     evaluate,
     generate_synthetic,
     ols_fit,
-    predict,
     read_dataset,
     run_comparison,
     split,
@@ -42,12 +41,12 @@ from conftest import (
     EXPECTED_JOIST_1234,
     REFERENCE_BLOCK_SIZE,
     REFERENCE_JOIST,
-    make_block,
     naive_adjusted_r_squared,
     naive_emr,
     naive_mae,
     naive_pearson,
     naive_r_squared,
+    predict_block,
     rel_close,
     rows,
 )
@@ -91,8 +90,7 @@ def noisy_15k() -> Dataset:
 
 
 def test_criterion_1_fixed_rate_baseline_consistency():
-    mean_size_block = make_block(size_bytes=458_263)
-    prediction = predict(GERVAIS_BASELINE, mean_size_block)
+    prediction = predict_block(GERVAIS_BASELINE, size_bytes=458_263)
     _criterion(
         1,
         "byte-rate baseline reproduces the published mean validation time",
@@ -104,18 +102,18 @@ def test_criterion_1_fixed_rate_baseline_consistency():
 
 
 def test_criterion_2_reference_parameter_golden_predictions():
-    block_1234 = make_block(
+    block_1234 = dict(
         size_bytes=2000, n_joinsplit=1, n_output=2, n_transparent_in=3, n_spend=4
     )
     checks = []
     for label, model in REFERENCE_JOIST.items():
-        got = predict(model, block_1234)
+        got = predict_block(model, **block_1234)
         checks.append((f"joist {label}", abs(got - EXPECTED_JOIST_1234[label]) <= 1e-6))
     for label, model in REFERENCE_BLOCK_SIZE.items():
-        got = predict(model, block_1234)
+        got = predict_block(model, **block_1234)
         checks.append((f"block_size {label}", abs(got - EXPECTED_BLOCK_SIZE_2000B[label]) <= 1e-6))
     # Intercept-only case: a block with no countable components.
-    zero = predict(REFERENCE_JOIST["ssd_5k"], make_block(size_bytes=100))
+    zero = predict_block(REFERENCE_JOIST["ssd_5k"], size_bytes=100)
     checks.append(("zero-count intercept", abs(zero - 4468.949) <= 1e-6))
     _criterion(2, "reference parameter sets reproduce hand-derived predictions", checks)
 
@@ -161,7 +159,7 @@ def test_criterion_4_ols_statistical_recovery(noisy_15k):
         for name, value in truth.items()
     ]
     t = [float(v) for v in predict_set.verify_time_us.tolist()]
-    t_hat = [predict(result.model, make_block(*row[:-1])) for row in rows(predict_set)]
+    t_hat = [predict_block(result.model, *row[:-1]) for row in rows(predict_set)]
     checks.append(("predict-set R2 >= 0.8", evaluate(t, t_hat, 4).r2 >= 0.8))
     _criterion(4, "noisy 5k/10k split recovers coefficients and predicts well", checks)
 

@@ -11,7 +11,6 @@ import joist
 from joist import experiment, features, models, stats
 
 PUBLIC_NAMES = [
-    "BlockFeatures",
     "CSV_HEADER",
     "ComparisonRow",
     "CompositionReport",
@@ -39,10 +38,8 @@ PUBLIC_NAMES = [
     "SplitPlan",
     "SynthSpec",
     "SynthSpecError",
-    "TxFeatures",
     "UnsupportedKindError",
     "adjusted_r_squared",
-    "aggregate_block",
     "composition_analysis",
     "correlation_table",
     "emit_plot_data",
@@ -87,3 +84,9 @@ def test_per_row_record_layer_is_gone(module, name):
 def test_single_statistic_api_is_gone(name):
     assert not hasattr(joist, name)
     assert not hasattr(stats, name)
+
+
+@pytest.mark.parametrize("name", ["TxFeatures", "BlockFeatures", "aggregate_block"])
+def test_fetch_record_types_are_gone(name):
+    assert not hasattr(joist, name)
+    assert not hasattr(features, name)

@@ -27,7 +27,7 @@ from joist import (
     split,
 )
 from joist.experiment import CORRELATION_FEATURES
-from joist.features import FEATURE_COLUMNS
+from joist.features import COLUMNS, FEATURE_COLUMNS
 from joist.fit import design_matrix
 from joist.models import PREDICTORS
 from joist.rng import SplitMix64, shuffled_indices
@@ -37,7 +37,6 @@ from conftest import (
     REFERENCE_BLOCK_SIZE,
     REFERENCE_JOIST,
     default_synth_spec,
-    make_block,
     make_dataset,
     next_gaussian,
     next_int,
@@ -104,17 +103,26 @@ def noisy() -> Dataset:
     return generate_synthetic(default_synth_spec(n_blocks=2000, noise_sigma_us=2500.0, seed=3))
 
 
+def predict_row(model, row) -> float:
+    """One row's prediction: ``c * float(x)`` in predictor order, intercept last."""
+    block = dict(zip(COLUMNS, row))
+    total = 0.0
+    for name in PREDICTORS[model.kind]:
+        total = total + model.coefficients[name] * float(block[FEATURE_COLUMNS[name]])
+    return total + model.intercept_us
+
+
 @pytest.mark.parametrize("model", [*REFERENCE_JOIST.values(), *REFERENCE_BLOCK_SIZE.values()])
 def test_predict_on_a_dataset_matches_per_block_predict(noisy, model):
     column = predict(model, noisy)
     assert column.dtype == np.float64
-    assert column.tolist() == [predict(model, make_block(*row[:-1])) for row in rows(noisy)]
+    assert column.tolist() == [predict_row(model, row) for row in rows(noisy)]
 
 
 @pytest.mark.parametrize("kind", [ModelKind.JOIST, ModelKind.BLOCK_SIZE])
 def test_design_matrix_matches_per_row_predictor_vectors(noisy, kind):
     x, y = design_matrix(kind, noisy)
-    vectors = [predictor_vector(kind, make_block(*row[:-1])) + [1.0] for row in rows(noisy)]
+    vectors = [predictor_vector(kind, dict(zip(COLUMNS, row))) + [1.0] for row in rows(noisy)]
     assert np.array_equal(x, np.array(vectors, dtype=np.float64))
     assert y.tolist() == [float(row[-1]) for row in rows(noisy)]
 
@@ -158,7 +166,7 @@ def test_statistics_match_the_per_element_formulas(noisy):
     for name, r in correlation_table(noisy).items():
         x = [float(v) for v in getattr(noisy, "n_" + name).tolist()]
         assert r == _reference_pearson(x, t)
-    t_hat = [predict(REFERENCE_JOIST["ssd_5k"], make_block(*row[:-1])) for row in rows(noisy)]
+    t_hat = [predict_row(REFERENCE_JOIST["ssd_5k"], row) for row in rows(noisy)]
     t_mean = fsum(t) / len(t)
     ss_res = fsum((ti - hi) ** 2 for ti, hi in zip(t, t_hat))
     ss_tot = fsum((ti - t_mean) ** 2 for ti in t)

@@ -1,25 +1,22 @@
 from __future__ import annotations
 
 import random
-from dataclasses import fields
 
 import pytest
 
 from joist import (
-    BlockFeatures,
     Dataset,
     IntegrityError,
     ParseError,
-    TxFeatures,
-    aggregate_block,
     extract_tx_features,
 )
 
 from joist.experiment import CORRELATION_FEATURES
 from joist.features import COLUMNS, COUNT_COLUMNS, FEATURE_COLUMNS
+from joist.ingest import _block_row
 from joist.models import PREDICTORS
 
-from conftest import make_block, make_dataset
+from conftest import make_dataset
 
 
 def _tx(n_in=0, n_out=0, n_spend=0, n_output=0, n_js=0, coinbase=False):
@@ -35,18 +32,15 @@ def _tx(n_in=0, n_out=0, n_spend=0, n_output=0, n_js=0, coinbase=False):
 
 
 def test_extract_plain_transaction():
-    got = extract_tx_features(_tx(n_in=2, n_out=3, n_spend=1, n_output=4))
-    assert got == TxFeatures(2, 3, 1, 4, 0, is_coinbase=False)
+    assert extract_tx_features(_tx(n_in=2, n_out=3, n_spend=1, n_output=4)) == (2, 3, 1, 4, 0)
 
 
 def test_extract_coinbase_excludes_its_input():
-    got = extract_tx_features(_tx(n_out=2, coinbase=True))
-    assert got == TxFeatures(0, 2, 0, 0, 0, is_coinbase=True)
+    assert extract_tx_features(_tx(n_out=2, coinbase=True)) == (0, 2, 0, 0, 0)
 
 
 def test_extract_absent_shielded_lists_mean_zero():
-    got = extract_tx_features({"vin": [{"txid": "t0", "vout": 0}], "vout": [{}]})
-    assert (got.n_spend, got.n_output, got.n_joinsplit) == (0, 0, 0)
+    assert extract_tx_features({"vin": [{"txid": "t0", "vout": 0}], "vout": [{}]}) == (1, 1, 0, 0, 0)
 
 
 def test_extract_missing_vin_is_parse_error():
@@ -67,58 +61,57 @@ def test_extract_non_list_shielded_field_is_parse_error():
 def test_extract_coinbase_with_extra_inputs_violates_invariant():
     # Protocol-invalid: a coinbase marker alongside normal inputs.
     record = {"vin": [{"coinbase": "aa"}, {"txid": "t0", "vout": 0}], "vout": []}
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="^a coinbase transaction has no countable transparent inputs$"):
         extract_tx_features(record)
 
 
+def test_extract_check_order():
+    # vin, vout, the shielded lists in COUNT_COLUMNS order, then the coinbase
+    # rule: the record breaks every check, and each is mended once it has been named.
+    record = {"vin": None, "vout": None, "vShieldedSpend": 1, "vShieldedOutput": 1, "vjoinsplit": 1}
+    coinbase_with_input = [{"coinbase": "aa"}, {"txid": "t0", "vout": 0}]
+    for name, mended in [
+        ("vin", coinbase_with_input),
+        ("vout", []),
+        ("vShieldedSpend", []),
+        ("vShieldedOutput", []),
+        ("vjoinsplit", []),
+    ]:
+        with pytest.raises(ParseError, match=f'"{name}"'):
+            extract_tx_features(record)
+        record[name] = mended
+    with pytest.raises(IntegrityError, match="coinbase"):
+        extract_tx_features(record)
+
+
+def _block(*txs, size=900):
+    return {"size": size, "tx": list(txs)}
+
+
 def test_aggregate_sums_counts():
-    txs = [TxFeatures(2, 3, 1, 4, 0), TxFeatures(0, 2, 0, 0, 0, is_coinbase=True)]
-    block = aggregate_block(txs, height=7, size_bytes=900)
-    assert (block.n_transparent_in, block.n_transparent_out) == (2, 5)
-    assert (block.n_spend, block.n_output, block.n_joinsplit) == (1, 4, 0)
-    assert (block.height, block.size_bytes) == (7, 900)
+    row = _block_row(_block(_tx(n_in=2, n_out=3, n_spend=1, n_output=4), _tx(n_out=2, coinbase=True)), 7)
+    assert row == [7, 900, 2, 5, 1, 4, 0]
 
 
 def test_aggregate_coinbase_only_block_has_zero_model_counts():
-    block = aggregate_block([TxFeatures(0, 2, 0, 0, 0, is_coinbase=True)], height=1, size_bytes=285)
-    assert (block.n_transparent_in, block.n_spend, block.n_output, block.n_joinsplit) == (0, 0, 0, 0)
+    assert _block_row(_block(_tx(n_out=2, coinbase=True), size=285), 1) == [1, 285, 0, 2, 0, 0, 0]
 
 
 def test_aggregate_counts_joinsplits_across_transactions():
-    txs = [TxFeatures(0, 1, 0, 0, 1) for _ in range(3)]
-    assert aggregate_block(txs, height=1, size_bytes=100).n_joinsplit == 3
-
-
-def test_aggregate_rejects_empty_block():
-    with pytest.raises(IntegrityError):
-        aggregate_block([], height=1, size_bytes=100)
+    row = _block_row(_block(*(_tx(n_out=1, n_js=1) for _ in range(3)), size=100), 1)
+    assert row[COLUMNS.index("n_joinsplit")] == 3
 
 
 def test_aggregate_is_order_independent():
     rng = random.Random(1310)
     for _ in range(25):
         txs = [
-            TxFeatures(
-                rng.randrange(5), rng.randrange(5), rng.randrange(3), rng.randrange(3), rng.randrange(2)
-            )
+            _tx(rng.randrange(5), rng.randrange(5), rng.randrange(3), rng.randrange(3), rng.randrange(2))
             for _ in range(rng.randrange(1, 12))
         ]
-        reference = aggregate_block(txs, height=1, size_bytes=500)
-        shuffled = txs[:]
-        rng.shuffle(shuffled)
-        assert aggregate_block(shuffled, height=1, size_bytes=500) == reference
-
-
-def test_negative_counts_rejected():
-    with pytest.raises(IntegrityError):
-        TxFeatures(-1, 0, 0, 0, 0)
-    with pytest.raises(IntegrityError):
-        make_block(n_spend=-2)
-
-
-def test_block_size_must_be_positive():
-    with pytest.raises(IntegrityError):
-        make_block(size_bytes=0)
+        reference = _block_row(_block(*txs, size=500), 1)
+        rng.shuffle(txs)
+        assert _block_row(_block(*txs, size=500), 1) == reference
 
 
 def _row(height, time_us=10):
@@ -164,7 +157,7 @@ def test_dataset_names_the_first_bad_row_and_its_first_broken_rule():
 
 
 def test_feature_names_come_from_the_column_table():
-    assert tuple(f.name for f in fields(BlockFeatures)) == COLUMNS[:-1]
-    assert tuple(f.name for f in fields(TxFeatures) if f.name != "is_coinbase") == COUNT_COLUMNS
+    assert len(extract_tx_features(_tx())) == len(COUNT_COLUMNS)
+    assert len(_block_row(_block(_tx()), 1)) == len(COLUMNS) - 1
     assert all(name in FEATURE_COLUMNS for names in PREDICTORS.values() for name in names)
     assert CORRELATION_FEATURES == ("transparent_in", "transparent_out", "spend", "output", "joinsplit")

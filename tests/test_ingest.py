@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import math
 import ssl
 import threading
 from http.server import ThreadingHTTPServer
 
+import numpy as np
 import pytest
 
 from joist import (
@@ -18,6 +20,7 @@ from joist import (
     write_dataset,
     write_features_csv,
 )
+from joist.features import COLUMNS
 from joist.ingest import CSV_HEADER, MAX_PARALLEL
 
 from conftest import (
@@ -31,7 +34,6 @@ from conftest import (
     TEST_CHAIN_EXPECTED,
     ZERO_SIZE_HEIGHT,
     _RpcHandler,
-    make_block,
     make_dataset,
 )
 
@@ -209,8 +211,8 @@ def test_read_accepts_other_line_layouts(tmp_path, body):
 
 def test_write_features_csv_zero_fills_times(tmp_path):
     path = tmp_path / "features.csv"
-    blocks = [make_block(height=102, size_bytes=20), make_block(height=101, size_bytes=10)]
-    write_features_csv(blocks, path)
+    columns = {c: [0, 0] for c in COLUMNS[:-1]} | {"height": [102, 101], "size_bytes": [20, 10]}
+    write_features_csv(columns, path)
     lines = path.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[1] == "101,10,0,0,0,0,0,0"
@@ -225,8 +227,12 @@ def test_write_features_csv_zero_fills_times(tmp_path):
 def test_endpoint_invariants():
     with pytest.raises(IntegrityError):
         RpcEndpoint(url="http://x", username="u", password="p", max_parallel=0)
-    with pytest.raises(IntegrityError):
-        RpcEndpoint(url="http://x", username="u", password="p", timeout=0)
+
+
+@pytest.mark.parametrize("timeout", [0, -1, math.inf, math.nan])
+def test_endpoint_timeout_must_be_finite_and_positive(timeout):
+    with pytest.raises(IntegrityError, match=f"^timeout must be finite and > 0, got {timeout}$"):
+        RpcEndpoint(url="http://x", username="u", password="p", timeout=timeout)
 
 
 @pytest.mark.parametrize("max_parallel", [MAX_PARALLEL + 1, 10**9])
@@ -245,26 +251,33 @@ def _endpoint(url, **kwargs):
 
 
 def test_fetch_coinbase_only_block(rpc_server):
-    (block,) = fetch_block_features(_endpoint(rpc_server), (100, 100))
-    assert block.height == 100
-    assert block.size_bytes == 285
-    assert (block.n_transparent_in, block.n_spend, block.n_output, block.n_joinsplit) == (0, 0, 0, 0)
-    assert block.n_transparent_out == 2
+    block = fetch_block_features(_endpoint(rpc_server), (100, 100))
+    assert list(block) == list(COLUMNS[:-1])
+    assert all(col.dtype == np.int64 for col in block.values())
+    assert {c: col.tolist() for c, col in block.items()} == {
+        "height": [100],
+        "size_bytes": [285],
+        "n_transparent_in": [0],
+        "n_transparent_out": [2],
+        "n_spend": [0],
+        "n_output": [0],
+        "n_joinsplit": [0],
+    }
 
 
 def test_fetch_range_in_order_with_expected_counts(rpc_server):
     blocks = fetch_block_features(_endpoint(rpc_server, max_parallel=3), (100, 102))
-    assert [b.height for b in blocks] == [100, 101, 102]
-    for block in blocks:
-        expected = TEST_CHAIN_EXPECTED[block.height]
-        for field, value in expected.items():
-            assert getattr(block, field) == value, (block.height, field)
+    assert blocks["height"].tolist() == [100, 101, 102]
+    for i, height in enumerate(blocks["height"].tolist()):
+        for field, value in TEST_CHAIN_EXPECTED[height].items():
+            assert blocks[field][i] == value, (height, field)
 
 
 def test_fetch_serial_and_parallel_agree(rpc_server):
     serial = fetch_block_features(_endpoint(rpc_server, max_parallel=1), (100, 102))
     parallel = fetch_block_features(_endpoint(rpc_server, max_parallel=8), (100, 102))
-    assert serial == parallel
+    assert serial.keys() == parallel.keys()
+    assert all(np.array_equal(serial[c], parallel[c]) for c in serial)
 
 
 def test_fetch_block_missing_size_field(rpc_server):
@@ -306,11 +319,11 @@ def test_fetch_non_object_rpc_error(rpc_server):
 
 
 def test_block_size_beyond_int64_is_a_parse_error():
-    from joist.ingest import _block_features_from_record
+    from joist.ingest import _block_row
 
     record = {"size": 2**63, "tx": [{"vin": [{"coinbase": "00"}], "vout": []}]}
     with pytest.raises(ParseError, match="int64"):
-        _block_features_from_record(record, 7)
+        _block_row(record, 7)
 
 
 def test_fetch_unreachable_node(closed_port_url):
@@ -346,8 +359,7 @@ def test_fetch_non_json_error_page_names_the_status(rpc_server):
 
 def test_fetch_ignores_credentials_in_the_url(rpc_server):
     url = rpc_server.replace("http://", "http://mallory:guess@")
-    (block,) = fetch_block_features(_endpoint(url), (100, 100))
-    assert block.size_bytes == 285
+    assert fetch_block_features(_endpoint(url), (100, 100))["size_bytes"].tolist() == [285]
 
 
 def _self_signed_cert(tmp_path):
@@ -419,8 +431,7 @@ def test_fetch_https_rejects_untrusted_certificate(tls_rpc_server):
 def test_fetch_https_trusts_the_default_verify_paths(tls_rpc_server, monkeypatch):
     url, cert_path = tls_rpc_server
     monkeypatch.setenv("SSL_CERT_FILE", str(cert_path))
-    (block,) = fetch_block_features(_endpoint(url, timeout=5.0), (100, 100))
-    assert block.size_bytes == 285
+    assert fetch_block_features(_endpoint(url, timeout=5.0), (100, 100))["size_bytes"].tolist() == [285]
 
 
 def test_times_beyond_int64_cannot_be_serialized(tmp_path):

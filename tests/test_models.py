@@ -13,9 +13,9 @@ from joist import (
     ModelSpec,
     load_model,
     n_predictors,
-    predict,
     save_model,
 )
+from joist.features import COUNT_COLUMNS
 from joist.models import PREDICTORS
 
 from conftest import (
@@ -23,29 +23,29 @@ from conftest import (
     EXPECTED_JOIST_1234,
     REFERENCE_BLOCK_SIZE,
     REFERENCE_JOIST,
-    make_block,
+    predict_block,
     predictor_vector,
 )
 
 # Counts (n_joinsplit, n_output, n_transparent_in, n_spend) = (1, 2, 3, 4).
-_BLOCK_1234 = make_block(size_bytes=2000, n_joinsplit=1, n_output=2, n_transparent_in=3, n_spend=4)
-_BLOCK_ZERO = make_block(size_bytes=458263)
+_BLOCK_1234 = dict(size_bytes=2000, n_joinsplit=1, n_output=2, n_transparent_in=3, n_spend=4)
+_BLOCK_ZERO = dict(size_bytes=458263)
 
 
 @pytest.mark.parametrize("label", sorted(REFERENCE_JOIST))
 def test_reference_joist_predictions(label):
-    got = predict(REFERENCE_JOIST[label], _BLOCK_1234)
+    got = predict_block(REFERENCE_JOIST[label], **_BLOCK_1234)
     assert got == pytest.approx(EXPECTED_JOIST_1234[label], abs=1e-6)
 
 
 @pytest.mark.parametrize("label", sorted(REFERENCE_BLOCK_SIZE))
 def test_reference_block_size_predictions(label):
-    got = predict(REFERENCE_BLOCK_SIZE[label], _BLOCK_1234)
+    got = predict_block(REFERENCE_BLOCK_SIZE[label], **_BLOCK_1234)
     assert got == pytest.approx(EXPECTED_BLOCK_SIZE_2000B[label], abs=1e-6)
 
 
 def test_zero_count_block_predicts_intercept():
-    assert predict(REFERENCE_JOIST["ssd_5k"], make_block(size_bytes=100)) == pytest.approx(
+    assert predict_block(REFERENCE_JOIST["ssd_5k"], size_bytes=100) == pytest.approx(
         4468.949, abs=1e-9
     )
 
@@ -53,16 +53,16 @@ def test_zero_count_block_predicts_intercept():
 def test_fixed_rate_consistency_with_mean_figures():
     # 0.3796 us/B at the 458,263 B mean block size lands on the published
     # 0.174 s mean validation time to within half a millisecond.
-    got = predict(GERVAIS_BASELINE, _BLOCK_ZERO)
+    got = predict_block(GERVAIS_BASELINE, **_BLOCK_ZERO)
     assert got == pytest.approx(173956.6348, abs=1e-6)
     assert abs(got - 174000.0) < 500.0
 
 
 def test_predictor_vector_orders():
     assert predictor_vector(ModelKind.JOIST, _BLOCK_1234) == [1.0, 2.0, 3.0, 4.0]
-    assert predictor_vector(ModelKind.BLOCK_SIZE, make_block(size_bytes=500)) == [500.0]
-    assert predictor_vector(ModelKind.FIXED_RATE, make_block(size_bytes=500)) == [500.0]
-    assert predictor_vector(ModelKind.JOIST, make_block()) == [0.0, 0.0, 0.0, 0.0]
+    assert predictor_vector(ModelKind.BLOCK_SIZE, {"size_bytes": 500}) == [500.0]
+    assert predictor_vector(ModelKind.FIXED_RATE, {"size_bytes": 500}) == [500.0]
+    assert predictor_vector(ModelKind.JOIST, dict.fromkeys(COUNT_COLUMNS, 0)) == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_predict_equals_dot_product_plus_intercept():
@@ -73,7 +73,7 @@ def test_predict_equals_dot_product_plus_intercept():
             {name: rng.uniform(-10, 10000) for name in PREDICTORS[ModelKind.JOIST]},
             rng.uniform(-100, 10000),
         )
-        block = make_block(
+        block = dict(
             size_bytes=rng.randrange(1, 2_000_000),
             n_joinsplit=rng.randrange(20),
             n_output=rng.randrange(50),
@@ -84,7 +84,7 @@ def test_predict_equals_dot_product_plus_intercept():
         dot = 0.0
         for name, value in zip(PREDICTORS[ModelKind.JOIST], vector):
             dot += model.coefficients[name] * value
-        assert predict(model, block) == dot + model.intercept_us
+        assert predict_block(model, **block) == dot + model.intercept_us
 
 
 def test_linearity_under_block_composition():
@@ -92,7 +92,7 @@ def test_linearity_under_block_composition():
     model = REFERENCE_JOIST["ssd_5k"]
     for _ in range(25):
         def rand_block(h):
-            return make_block(
+            return dict(
                 height=h,
                 size_bytes=rng.randrange(1, 100000),
                 n_joinsplit=rng.randrange(10),
@@ -102,22 +102,15 @@ def test_linearity_under_block_composition():
             )
 
         a, b = rand_block(1), rand_block(2)
-        combined = make_block(
-            size_bytes=a.size_bytes + b.size_bytes,
-            n_joinsplit=a.n_joinsplit + b.n_joinsplit,
-            n_output=a.n_output + b.n_output,
-            n_transparent_in=a.n_transparent_in + b.n_transparent_in,
-            n_spend=a.n_spend + b.n_spend,
-        )
-        assert predict(model, combined) == pytest.approx(
-            predict(model, a) + predict(model, b) - model.intercept_us, rel=1e-9
+        combined = {name: a[name] + b[name] for name in a if name != "height"}
+        assert predict_block(model, **combined) == pytest.approx(
+            predict_block(model, **a) + predict_block(model, **b) - model.intercept_us, rel=1e-9
         )
 
 
 def test_monotonicity_with_nonnegative_coefficients():
     model = REFERENCE_JOIST["ssd_20k"]
-    base = make_block(size_bytes=5000, n_joinsplit=1, n_output=2, n_transparent_in=3, n_spend=4)
-    baseline = predict(model, base)
+    baseline = predict_block(model, size_bytes=5000, n_joinsplit=1, n_output=2, n_transparent_in=3, n_spend=4)
     for bump in (
         dict(n_joinsplit=2),
         dict(n_output=3),
@@ -128,15 +121,15 @@ def test_monotonicity_with_nonnegative_coefficients():
             size_bytes=5000, n_joinsplit=1, n_output=2, n_transparent_in=3, n_spend=4
         )
         fields.update(bump)
-        assert predict(model, make_block(**fields)) >= baseline
+        assert predict_block(model, **fields) >= baseline
 
 
 def test_transparent_outputs_are_not_a_predictor():
     assert "transparent_out" not in PREDICTORS[ModelKind.JOIST]
     model = REFERENCE_JOIST["ssd_5k"]
-    a = make_block(n_transparent_out=0, n_transparent_in=5)
-    b = make_block(n_transparent_out=999, n_transparent_in=5)
-    assert predict(model, a) == predict(model, b)
+    a = predict_block(model, n_transparent_out=0, n_transparent_in=5)
+    b = predict_block(model, n_transparent_out=999, n_transparent_in=5)
+    assert a == b
 
 
 def test_coefficient_name_set_is_enforced():
