@@ -133,7 +133,7 @@ def _cmd_synth(args) -> int:
     try:
         with open(args.spec, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge number, deep nesting
         raise FormatError(f"{args.spec}: not valid JSON: {exc}") from exc
     spec = _synth_spec_from_json(doc)
     ds = experiment.generate_synthetic(spec)

@@ -41,18 +41,24 @@ FEATURE_COLUMNS = {"byte": "size_bytes", **{c.removeprefix("n_"): c for c in COU
 _INT64 = np.iinfo(np.int64)
 
 # The value rules, in the order a row is checked: (column, rule, test for
-# breaking values). Each test takes a whole column or a single value.
+# the column's breaking values). Every column is int64, so no value is
+# fractional or non-finite.
 _RULES = (
+    ("height", ">= 0", lambda v: v < 0),
     ("size_bytes", "> 0", lambda v: v <= 0),
     *((name, ">= 0", lambda v: v < 0) for name in COUNT_COLUMNS),
-    ("verify_time_us", "finite and > 0", lambda v: ~((v > 0) & np.isfinite(v))),
+    ("verify_time_us", "> 0", lambda v: v <= 0),
 )
 
 
 def first_violation(columns: Mapping[str, np.ndarray]) -> tuple[int, str] | None:
     """The first row, in the order given, that breaks a value rule, and the
-    message of the first rule (in _RULES order) it breaks; None if none does."""
-    failed = [(name, rule, bad) for name, rule, test in _RULES if (bad := test(columns[name])).any()]
+    message of the first rule (in _RULES order) it breaks; None if none does.
+
+    Rules whose column is absent from *columns* are skipped.
+    """
+    present = (r for r in _RULES if r[0] in columns)
+    failed = [(name, rule, bad) for name, rule, test in present if (bad := test(columns[name])).any()]
     if not failed:
         return None
     i = min(int(bad.argmax()) for _, _, bad in failed)
@@ -60,20 +66,12 @@ def first_violation(columns: Mapping[str, np.ndarray]) -> tuple[int, str] | None
     return i, f"{name} must be {rule}, got {columns[name][i]}"
 
 
-def _check_fields(row: Mapping[str, int]) -> None:
-    """Raise IntegrityError for the first of *row*'s fields that breaks its rule."""
-    for name, rule, test in _RULES:
-        if name in row and test(value := row[name]):
-            raise IntegrityError(f"{name} must be {rule}, got {value}")
-
-
 class Dataset:
     """An ordered, height-unique table of verification samples, one column per field.
 
-    Each name in :data:`COLUMNS` is a read-only numpy attribute: int64, except
-    that ``verify_time_us`` may be float64 so models can be re-fitted on their
-    own (fractional) predictions. Heights must be strictly increasing; use
-    :meth:`from_columns` to build a dataset from rows in any order.
+    Each name in :data:`COLUMNS` is a read-only int64 numpy attribute whose
+    values keep the rules in ``_RULES``. Heights must be strictly increasing;
+    use :meth:`from_columns` to build a dataset from rows in any order.
     """
 
     __slots__ = COLUMNS
@@ -129,9 +127,7 @@ def _column(name: str, values: ArrayLike, n: int) -> np.ndarray:
     col = np.array(values)
     if col.shape != (n,):
         raise IntegrityError(f"column {name} has shape {col.shape}, expected ({n},)")
-    if name == "verify_time_us" and col.dtype.kind == "f":
-        col = col.astype(np.float64, copy=False)
-    elif col.dtype.kind in "iu" and _INT64.min <= col.min() and col.max() <= _INT64.max:
+    if col.dtype.kind in "iu" and _INT64.min <= col.min() and col.max() <= _INT64.max:
         col = col.astype(np.int64, copy=False)
     else:
         raise IntegrityError(f"column {name} must hold integers within int64, got dtype {col.dtype}")

@@ -11,7 +11,8 @@ Dataset CSV format (UTF-8, LF line endings, no quoting):
 
 with every field plain base-10 digits (an optional leading ``-``, no sign,
 space or underscore otherwise) within the int64 range, and rows sorted by
-height.
+height. A ``-`` parses so that a negative value is reported by the value
+rule it breaks: every column is non-negative, and sizes and times positive.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     ParseError,
     RpcConnectionError,
 )
-from .features import COLUMNS, Dataset, _check_fields, extract_tx_features, first_violation
+from .features import COLUMNS, Dataset, extract_tx_features, first_violation
 from .output import _atomic_write
 
 CSV_HEADER = ",".join(COLUMNS)
@@ -42,9 +43,12 @@ CSV_HEADER = ",".join(COLUMNS)
 # getblock verbosity level at which the node inlines fully decoded transactions.
 _DECODED_TX_VERBOSITY = 2
 
-# A dataset CSV field: plain ASCII digits with an optional minus sign.
+# A dataset CSV field: plain ASCII digits with an optional minus sign, which
+# parses so that a negative value is named by the rule it breaks.
 _FIELD = re.compile(r"-?[0-9]+")
 _INT64 = np.iinfo(np.int64)
+# Most digits an int64 has, after its sign and leading zeros.
+_INT64_DIGITS = len(str(_INT64.max))
 
 # Most concurrent requests a fetch makes: far above what a node's few RPC
 # threads serve, and low enough that no value starts unbounded threads.
@@ -106,7 +110,7 @@ def _rpc_call(endpoint: RpcEndpoint, method: str, params: list):
         raise RpcConnectionError(f"authentication rejected by {url}")
     try:
         body = json.loads(raw)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise RpcConnectionError(f"non-JSON response from {url} (HTTP {status})") from exc
     if not isinstance(body, Mapping):
         raise RpcConnectionError(f"malformed RPC response from {url}")
@@ -138,9 +142,11 @@ def _block_row(block: Mapping, height: int) -> list[int]:
         raise ParseError(f"block {height}: size {size} does not fit the dataset format's int64")
     try:
         counts = [sum(c) for c in zip(*map(extract_tx_features, txs))]
-        _check_fields({"size_bytes": size})
     except (ParseError, IntegrityError) as exc:
         raise type(exc)(f"block {height}: {exc}") from exc
+    violation = first_violation({"size_bytes": np.array([size])})
+    if violation is not None:
+        raise IntegrityError(f"block {height}: {violation[1]}")
     return [height, size, *counts]
 
 
@@ -168,6 +174,8 @@ def fetch_block_features(endpoint: RpcEndpoint, height_range: tuple[int, int]) -
     lo, hi = height_range
     if lo > hi:
         raise HeightRangeError(f"empty height range [{lo}, {hi}]")
+    if lo < 0:
+        raise HeightRangeError(f"height must be >= 0, got {lo}")
     heights = range(lo, hi + 1)
     # Imported on first use: concurrent.futures pulls in logging and adds ~7 ms to every other command's start.
     from concurrent.futures import ThreadPoolExecutor
@@ -194,7 +202,7 @@ _COMMA, _NEWLINE = np.frombuffer(b", \n ", dtype=np.uint16)
 
 
 def _csv_chunks(columns: list[np.ndarray]) -> Iterator[bytes]:
-    """The interchange CSV of equal-length int64 columns, header first, in blocks of CHUNK_ROWS rows.
+    """The interchange CSV of equal-length non-negative int64 columns, header first, in blocks of CHUNK_ROWS rows.
 
     The bytes equal a ``"%d"`` join of every field.
     """
@@ -204,9 +212,6 @@ def _csv_chunks(columns: list[np.ndarray]) -> Iterator[bytes]:
 
 
 def _format_rows(columns: list[np.ndarray]) -> bytes:
-    if any(c.min() < 0 for c in columns):  # only heights may be negative; rare enough for "%d"
-        line = ",".join(["%d"] * len(columns)) + "\n"
-        return ((line * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist())).encode()
     # One row of `text` per digit pair or separator, one column per CSV row.
     widths = [(len(str(int(c.max()))) + 1) // 2 for c in columns]
     text = np.empty((sum(widths) + len(columns), len(columns[0])), dtype=np.uint16)
@@ -228,22 +233,8 @@ def _format_rows(columns: list[np.ndarray]) -> bytes:
 
 
 def write_dataset(ds: Dataset, path: str | Path) -> None:
-    """Write the dataset in the interchange CSV format, rows sorted by height.
-
-    The format stores integer microseconds; a dataset holding fractional
-    in-memory times cannot be serialized.
-    """
-    t = ds.verify_time_us
-    if t.dtype.kind == "f":
-        bad = np.flatnonzero((t != np.trunc(t)) | (t >= 2.0**63))
-        if bad.size:
-            i = bad[0]
-            raise FormatError(
-                f"height {ds.height[i]}: verify_time_us {t[i]} is not an integer within int64; "
-                "the CSV format stores whole microseconds"
-            )
-        t = t.astype(np.int64)
-    _atomic_write(path, _csv_chunks([getattr(ds, c) for c in COLUMNS[:-1]] + [t]))
+    """Write the dataset in the interchange CSV format, rows sorted by height."""
+    _atomic_write(path, _csv_chunks([getattr(ds, c) for c in COLUMNS]))
 
 
 def write_features_csv(columns: Mapping[str, np.ndarray], path: str | Path) -> None:
@@ -252,10 +243,18 @@ def write_features_csv(columns: Mapping[str, np.ndarray], path: str | Path) -> N
     Rows are sorted stably by height. Such a file fails dataset integrity
     checks on purpose: it is unusable for fitting until measured times are
     merged in.
+
+    Raises:
+        IntegrityError: a value breaks its column's rule (the first such row
+            in height order is named); nothing is written.
     """
     order = np.argsort(np.asarray(columns["height"]), kind="stable")
-    table = [np.asarray(columns[c], dtype=np.int64)[order] for c in COLUMNS[:-1]]
-    _atomic_write(path, _csv_chunks(table + [np.zeros(len(order), dtype=np.int64)]))
+    table = {c: np.asarray(columns[c], dtype=np.int64)[order] for c in COLUMNS[:-1]}
+    violation = first_violation(table)
+    if violation is not None:
+        i, message = violation
+        raise IntegrityError(f"height {table['height'][i]}: {message}")
+    _atomic_write(path, _csv_chunks([*table.values(), np.zeros(len(order), dtype=np.int64)]))
 
 
 def read_dataset(path: str | Path) -> Dataset:
@@ -268,8 +267,8 @@ def read_dataset(path: str | Path) -> Dataset:
     Raises:
         FormatError: wrong header, invalid UTF-8, or a field that is not a
             plain base-10 integer within int64.
-        IntegrityError: duplicate heights, non-positive times or sizes,
-            negative counts, or no rows at all.
+        IntegrityError: duplicate heights, negative heights or counts,
+            non-positive times or sizes, or no rows at all.
     """
     raw = Path(path).read_bytes()
     columns = _fast_columns(raw)
@@ -353,9 +352,12 @@ def _checked_columns(rows: list[list[int]], linenos: list[int], path) -> dict[st
 
 def _parse_field(part: str, where: str) -> int:
     if _FIELD.fullmatch(part):
-        value = int(part)
-        if _INT64.min <= value <= _INT64.max:
-            return value
+        # The value's digits, counted before int() sees them: it refuses over 4,300.
+        digits = part.lstrip("-0") or "0"
+        if len(digits) <= _INT64_DIGITS:
+            value = -int(digits) if part[0] == "-" else int(digits)
+            if _INT64.min <= value <= _INT64.max:
+                return value
         raise FormatError(f"{where}: field {part} is outside the int64 range")
     try:
         int(part)

@@ -148,6 +148,6 @@ def save_model(model: ModelSpec, path: str | Path) -> None:
 def load_model(path: str | Path) -> ModelSpec:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge number, deep nesting
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     return from_json_dict(doc)

@@ -15,8 +15,9 @@ SplitMix64 is counter-based (Steele, Lea & Flood, "Fast Splittable
 Pseudorandom Number Generators", OOPSLA 2014): the state only ever advances by
 the constant gamma, so the k-th output after state ``s`` is
 ``mix(s + k * gamma mod 2**64)``, independent of every other output.
-:meth:`SplitMix64.next_block` uses that to draw a whole block of outputs as
-one numpy computation, bit-identical to as many ``next_uint64()`` calls.
+:meth:`SplitMix64.next_block`, the generator's only output method, uses that
+to draw a whole block of outputs as one numpy computation, bit-identical to
+the same number of steps of the scalar generator in the paper.
 """
 
 from __future__ import annotations
@@ -41,15 +42,8 @@ class SplitMix64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
         self._state = seed
 
-    def next_uint64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
     def next_block(self, n: int) -> np.ndarray:
-        """The next *n* outputs as a uint64 array, equal to *n* next_uint64() calls."""
+        """The next *n* outputs as a uint64 array."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         # uint64 array arithmetic wraps modulo 2**64, as the generator requires.

@@ -31,6 +31,12 @@ def pytest_collection_modifyitems(items):
             item.add_marker(pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"))
             item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
             item.add_marker(pytest.mark.filterwarnings("error::DeprecationWarning"))
+            # Hypothesis imports libcst to report a failing example, and libcst's
+            # import warns about mypy_extensions.TypedDict; as an error it would
+            # end the session instead of reporting the failure.
+            item.add_marker(
+                pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+            )
 
 
 @pytest.fixture(autouse=True)
@@ -157,8 +163,26 @@ def default_synth_spec(**overrides) -> SynthSpec:
 
 # ---------------------------------------------------------------------------
 # Scalar draws: one SplitMix64 output at a time, the reference for the block
-# derivations in joist.rng and the per-row loops that use them.
+# draws in joist.rng and the per-row loops that use them.
 # ---------------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+
+
+class ScalarSplitMix64:
+    """SplitMix64 one output at a time, as Steele, Lea & Flood state it: the
+    reference that ``joist.rng.SplitMix64.next_block`` is checked against."""
+
+    def __init__(self, seed: int):
+        self.state = seed
+
+    def next_uint64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
 
 def next_below(rng, n: int) -> int:
     """Uniform-ish integer in [0, n)."""
@@ -260,6 +284,9 @@ TRUNCATED_HEIGHT = 105
 # getblockhash for BAD_GATEWAY_HEIGHT answers HTTP 502 with an HTML page, as a
 # reverse proxy in front of a stopped node does.
 BAD_GATEWAY_HEIGHT = 106
+# getblockhash for DEEP_NESTING_HEIGHT answers with a body of 200,000 "[",
+# deeper than the JSON decoder's recursion limit.
+DEEP_NESTING_HEIGHT = 110
 
 # Records that break a fetched block's value rules: a size of zero, a negative
 # size, and a coinbase transaction that also spends an input.
@@ -322,6 +349,8 @@ class _RpcHandler(BaseHTTPRequestHandler):
                 self._send(200, b'{"result": "blockhash', extra_length=10)
             elif height == BAD_GATEWAY_HEIGHT:
                 self._send(502, b"<html><body><h1>502 Bad Gateway</h1></body></html>", "text/html")
+            elif height == DEEP_NESTING_HEIGHT:
+                self._send(200, b"[" * 200_000)
             elif height in TEST_CHAIN:
                 self._reply(200, f"blockhash{height}", None, req_id)
             else:

@@ -346,6 +346,40 @@ def test_synth_undecodable_spec_is_data_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+_DATA_ROW = "100,285,0,2,0,0,0,1807"
+
+
+@pytest.mark.parametrize(
+    "command, data, doc, message",
+    [
+        ("composition", "-3,285,0,2,0,0,0,1807", None, "data.csv:2: height must be >= 0, got -3"),
+        ("composition", "100," + "9" * 5000 + ",0,2,0,0,0,1807", None, "is outside the int64 range"),
+        ("evaluate", _DATA_ROW, '{"kind": "block_size", "intercept_us": ' + "9" * 5001 + "}", "not valid JSON"),
+        ("evaluate", _DATA_ROW, "[" * 200_000, "not valid JSON"),
+        ("synth", None, '{"n_blocks": ' + "9" * 5001 + "}", "not valid JSON"),
+        ("synth", None, "[" * 200_000, "not valid JSON"),
+    ],
+    ids=["negative-height", "long-csv-field", "long-model-number", "deep-model", "long-spec-number", "deep-spec"],
+)
+def test_boundary_inputs_are_one_line_data_errors(tmp_path, capsys, command, data, doc, message):
+    data_path, doc_path = tmp_path / "data.csv", tmp_path / "doc.json"
+    if data is not None:
+        data_path.write_text(f"{CSV_HEADER}\n{data}\n")
+    if doc is not None:
+        doc_path.write_text(doc)
+    argv = {
+        "composition": ["composition", "--data", str(data_path)],
+        "evaluate": ["evaluate", "--model", str(doc_path), "--data", str(data_path)],
+        "synth": ["synth", "--spec", str(doc_path), "--out", str(data_path)],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def test_usage_errors(capsys):
     assert main([]) == 1
     assert main(["fit", "--bogus"]) == 1

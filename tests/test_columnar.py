@@ -36,6 +36,7 @@ from joist.stats import centred, correlation
 from conftest import (
     REFERENCE_BLOCK_SIZE,
     REFERENCE_JOIST,
+    ScalarSplitMix64,
     default_synth_spec,
     make_dataset,
     next_gaussian,
@@ -51,7 +52,7 @@ def _reference_synthetic(spec) -> list[tuple]:
     """generate_synthetic's rows, one block and eight scalar draws at a time."""
     names = PREDICTORS[ModelKind.JOIST]
     coeffs = spec.true_model.coefficients
-    rng = SplitMix64(spec.seed)
+    rng = ScalarSplitMix64(spec.seed)
     table = []
     for height in range(1, spec.n_blocks + 1):
         counts = {name: next_int(rng, *spec.count_ranges[name]) for name in names}

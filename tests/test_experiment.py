@@ -25,7 +25,7 @@ from joist import (
 from joist.experiment import COMPARISON_CSV_HEADER, comparison_csv_lines
 from joist.rng import SplitMix64
 
-from conftest import default_synth_spec, make_dataset, next_int
+from conftest import ScalarSplitMix64, default_synth_spec, make_dataset, next_int
 
 
 # -- split -----------------------------------------------------------------
@@ -136,7 +136,7 @@ def test_comparison_csv_shape(ds_15k):
 # -- correlation table ---------------------------------------------------------
 
 def test_correlation_table_identifies_the_driving_feature():
-    rng = SplitMix64(31337)
+    rng = ScalarSplitMix64(31337)
     rows = []
     for height in range(1, 501):
         n_js = next_int(rng, 0, 9)

@@ -119,9 +119,9 @@ def _row(height, time_us=10):
 
 
 def test_verification_time_must_be_positive():
-    with pytest.raises(IntegrityError, match="verify_time_us must be finite and > 0, got 0"):
+    with pytest.raises(IntegrityError, match="verify_time_us must be > 0, got 0"):
         make_dataset([_row(1, time_us=0)])
-    with pytest.raises(IntegrityError, match="verify_time_us must be finite and > 0, got -5"):
+    with pytest.raises(IntegrityError, match="verify_time_us must be > 0, got -5"):
         make_dataset([_row(1, time_us=-5)])
 
 
@@ -150,7 +150,7 @@ def test_dataset_names_the_first_bad_row_and_its_first_broken_rule():
     # Row order decides, not rule order: height 2 breaks only the time rule,
     # height 3 breaks the size rule first.
     rows = [_row(1), (2, 1000, 0, 0, 0, 0, 0, 0), (3, 0, 0, 0, -1, 0, 0, 0)]
-    with pytest.raises(IntegrityError, match=r"^height 2: verify_time_us must be finite and > 0, got 0$"):
+    with pytest.raises(IntegrityError, match=r"^height 2: verify_time_us must be > 0, got 0$"):
         make_dataset(rows)
     with pytest.raises(IntegrityError, match=r"^height 3: size_bytes must be > 0, got 0$"):
         make_dataset([rows[0], rows[2]])

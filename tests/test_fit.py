@@ -16,7 +16,7 @@ from joist import (
 from joist.fit import design_matrix
 from joist.models import PREDICTORS
 
-from conftest import default_synth_spec, make_dataset, predict_block, rel_close, rows
+from conftest import default_synth_spec, make_dataset, rel_close, rows
 from joist import generate_synthetic
 
 # Ground truth for the hand-rolled exact datasets below.
@@ -119,17 +119,6 @@ def test_residual_orthogonality():
         column = x[:, j]
         bound = 1e-6 * t_norm * float(np.linalg.norm(column))
         assert abs(float(residual @ column)) <= bound
-
-
-def test_refit_on_own_predictions_reproduces_coefficients():
-    spec = default_synth_spec(noise_sigma_us=2000.0, n_blocks=500, seed=21)
-    train = generate_synthetic(spec)
-    first = ols_fit(ModelKind.JOIST, train).model
-    refit_rows = [(*row[:-1], predict_block(first, *row[:-1])) for row in rows(train)]
-    second = ols_fit(ModelKind.JOIST, make_dataset(refit_rows)).model
-    for name in PREDICTORS[ModelKind.JOIST]:
-        assert rel_close(second.coefficients[name], first.coefficients[name], 1e-9)
-    assert rel_close(second.intercept_us, first.intercept_us, 1e-9)
 
 
 def test_fit_is_permutation_invariant_over_rows():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import ssl
 import threading
 from http.server import ThreadingHTTPServer
@@ -26,6 +27,7 @@ from joist.ingest import CSV_HEADER, MAX_PARALLEL
 from conftest import (
     BAD_GATEWAY_HEIGHT,
     COINBASE_WITH_INPUT_HEIGHT,
+    DEEP_NESTING_HEIGHT,
     NEGATIVE_SIZE_HEIGHT,
     RPC_PASS,
     RPC_USER,
@@ -73,10 +75,10 @@ def test_rows_written_in_height_order(tmp_path):
     assert heights == [100, 101, 102]
 
 
-def test_fractional_times_cannot_be_serialized(tmp_path):
-    ds = make_dataset([(1, 1000, 0, 0, 0, 0, 0, 10.5)])
-    with pytest.raises(FormatError):
-        write_dataset(ds, tmp_path / "bad.csv")
+@pytest.mark.parametrize("time_us", [10.5, 10.0, 2.0**63], ids=["fractional", "whole", "beyond-int64"])
+def test_dataset_rejects_float_times(time_us):
+    with pytest.raises(IntegrityError, match="verify_time_us must hold integers within int64, got dtype float64"):
+        make_dataset([(1, 1000, 0, 0, 0, 0, 0, time_us)])
 
 
 def test_read_rejects_wrong_header(tmp_path):
@@ -140,11 +142,30 @@ def test_read_rejects_lenient_integer_fields(tmp_path, field):
         read_dataset(path)
 
 
-@pytest.mark.parametrize("value", [str(2**63), "99999999999999999999", str(-(2**63) - 1)])
+@pytest.mark.parametrize(
+    "value",
+    [
+        str(2**63),
+        "99999999999999999999",
+        str(-(2**63) - 1),
+        # More digits than int() converts (4,300).
+        pytest.param("9" * 5000, id="5000-digits"),
+        pytest.param("-" + "9" * 5000, id="minus-5000-digits"),
+    ],
+)
 def test_read_rejects_values_outside_int64(tmp_path, value):
     path = tmp_path / "ds.csv"
     path.write_text(CSV_HEADER + f"\n100,285,0,2,0,0,0,{value}\n")
-    with pytest.raises(FormatError, match="ds.csv:2: .*int64"):
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:2: field {value} is outside the int64 range$"):
+        read_dataset(path)
+
+
+def test_read_accepts_thousands_of_leading_zeros(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text(CSV_HEADER + "\n100,285,0,2,0,0,0,1807\n101,1523,2,4,1,4,0," + "0" * 5000 + "95321\n")
+    assert read_dataset(path) == make_dataset(_ROWS[:2])
+    path.write_text(CSV_HEADER + "\n100,285,0,2,0,0,0,1807\n101,1523,2,4,1,4,0,-" + "0" * 5000 + "1\n")
+    with pytest.raises(IntegrityError, match=r"ds.csv:3: verify_time_us must be > 0, got -1$"):
         read_dataset(path)
 
 
@@ -154,6 +175,13 @@ def test_read_accepts_int64_extremes(tmp_path):
     path.write_text(CSV_HEADER + f"\n{top},{top},{top},{top},{top},{top},{top},{top}\n")
     ds = read_dataset(path)
     assert ds.height.tolist() == [top] and ds.verify_time_us.tolist() == [top]
+
+
+def test_read_negative_height_is_integrity_error_naming_the_line(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text(CSV_HEADER + "\n100,285,0,2,0,0,0,1807\n-3,285,0,2,0,0,0,1807\n")
+    with pytest.raises(IntegrityError, match=r"ds.csv:3: height must be >= 0, got -3$"):
+        read_dataset(path)
 
 
 def test_read_negative_count_is_integrity_error_naming_the_line(tmp_path):
@@ -220,6 +248,20 @@ def test_write_features_csv_zero_fills_times(tmp_path):
     # Zero-filled times keep the file out of the fitting pipeline.
     with pytest.raises(IntegrityError):
         read_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "column, values, message",
+    [
+        ("height", [5, -3], "height -3: height must be >= 0, got -3"),
+        ("size_bytes", [10, 0], "height 102: size_bytes must be > 0, got 0"),
+    ],
+)
+def test_write_features_csv_rejects_bad_values_and_writes_nothing(tmp_path, column, values, message):
+    columns = {c: [1, 1] for c in COLUMNS[:-1]} | {"height": [101, 102], column: values}
+    with pytest.raises(IntegrityError, match=f"^{message}$"):
+        write_features_csv(columns, tmp_path / "features.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- endpoint invariants ----------------------------------------------------
@@ -307,6 +349,12 @@ def test_fetch_empty_range(rpc_server):
         fetch_block_features(_endpoint(rpc_server), (102, 100))
 
 
+def test_fetch_negative_height_makes_no_request(closed_port_url):
+    # A request to the closed port would raise RpcConnectionError instead.
+    with pytest.raises(HeightRangeError, match=r"^height must be >= 0, got -1$"):
+        fetch_block_features(_endpoint(closed_port_url), (-1, 5))
+
+
 def test_fetch_bad_credentials(rpc_server):
     endpoint = _endpoint(rpc_server, password="wrong")
     with pytest.raises(RpcConnectionError):
@@ -350,6 +398,11 @@ def test_fetch_rejects_unusable_urls(url, message):
 def test_fetch_truncated_body_is_connection_error(rpc_server):
     with pytest.raises(RpcConnectionError, match="cannot reach node"):
         fetch_block_features(_endpoint(rpc_server), (TRUNCATED_HEIGHT, TRUNCATED_HEIGHT))
+
+
+def test_fetch_deeply_nested_reply_is_connection_error(rpc_server):
+    with pytest.raises(RpcConnectionError, match="non-JSON response .*HTTP 200"):
+        fetch_block_features(_endpoint(rpc_server), (DEEP_NESTING_HEIGHT, DEEP_NESTING_HEIGHT))
 
 
 def test_fetch_non_json_error_page_names_the_status(rpc_server):
@@ -433,8 +486,3 @@ def test_fetch_https_trusts_the_default_verify_paths(tls_rpc_server, monkeypatch
     monkeypatch.setenv("SSL_CERT_FILE", str(cert_path))
     assert fetch_block_features(_endpoint(url, timeout=5.0), (100, 100))["size_bytes"].tolist() == [285]
 
-
-def test_times_beyond_int64_cannot_be_serialized(tmp_path):
-    ds = make_dataset([(1, 1000, 0, 0, 0, 0, 0, 2.0**63)])
-    with pytest.raises(FormatError, match="int64"):
-        write_dataset(ds, tmp_path / "bad.csv")

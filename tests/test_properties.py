@@ -26,7 +26,7 @@ def work(tmp_path_factory):
 
 @st.composite
 def datasets(draw, max_rows=12):
-    heights = draw(st.lists(st.integers(-(2**63), INT64_MAX), min_size=1, max_size=max_rows, unique=True))
+    heights = draw(st.lists(st.integers(0, INT64_MAX), min_size=1, max_size=max_rows, unique=True))
     n = len(heights)
 
     def column(lo):
@@ -108,14 +108,15 @@ def test_fast_reader_agrees_with_row_reader(work, raw):
 
 @st.composite
 def files_with_bad_values(draw):
-    """A valid dataset CSV with 1-3 cells broken (size <= 0, count < 0 or
-    time <= 0), sometimes with shuffled rows, blank lines or CRLF line ends."""
+    """A valid dataset CSV with 1-3 cells broken (height < 0, size <= 0,
+    count < 0 or time <= 0), sometimes with shuffled rows, blank lines or
+    CRLF line ends."""
     ds = draw(datasets(max_rows=8))
     table = [[str(v) for v in row] for row in zip(*(getattr(ds, c).tolist() for c in COLUMNS))]
     for _ in range(draw(st.integers(1, 3))):
         row = draw(st.sampled_from(table))
-        column = draw(st.integers(1, len(COLUMNS) - 1))
-        highest = -1 if COLUMNS[column] in COUNT_COLUMNS else 0
+        column = draw(st.integers(0, len(COLUMNS) - 1))
+        highest = -1 if COLUMNS[column] in ("height", *COUNT_COLUMNS) else 0
         row[column] = str(draw(st.integers(-(2**63), highest)))
     if draw(st.booleans()):
         table = draw(st.permutations(table))
@@ -134,6 +135,8 @@ def _first_bad_cell(text: str) -> tuple[int, str]:
         if not line:
             continue
         values = dict(zip(COLUMNS, map(int, line.split(","))))
+        if values["height"] < 0:
+            return lineno, "height"
         if values["size_bytes"] <= 0:
             return lineno, "size_bytes"
         for name in COUNT_COLUMNS:
@@ -148,6 +151,7 @@ def _first_bad_cell(text: str) -> tuple[int, str]:
 @given(text=files_with_bad_values())
 @example(text=_file("1,5,0,0,0,0,0,0", "2,0,0,0,0,0,0,5").decode())  # row order beats rule order
 @example(text=_file("2,5,0,0,0,0,0,5", "1,0,0,0,-1,0,0,0").decode())  # size before counts and time
+@example(text=_file("1,5,0,0,0,0,0,5", "-2,0,0,0,0,0,0,0").decode())  # height before size
 @example(text=_file("1,5,0,0,0,-3,-2,5", "", "2,5,0,0,0,0,0,0").decode().replace("\n", "\r\n"))
 def test_reader_names_the_first_bad_line_and_column(work, text):
     path = work / "bad_values.csv"
