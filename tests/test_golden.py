@@ -79,13 +79,26 @@ def test_seeded_cli_chain_bytes(tmp_path, capsys):
     assert _run_chain(tmp_path, capsys) == _EXPECTED
 
 
-def test_synth_bytes_across_write_chunks(tmp_path):
+def test_synth_bytes_across_write_chunks(tmp_path, capsys):
     if (np.__version__, platform.machine()) != _PINNED_ON:
         pytest.skip(f"pins recorded on numpy/machine {_PINNED_ON}")
-    # 20,000 rows span three blocks of the CSV writer (ingest.CHUNK_ROWS).
+    # 20,000 rows span three blocks of the CSV writer (ingest.CHUNK_ROWS), so
+    # the dataset, plot.csv and composition tables each cross two block ends.
     (tmp_path / "spec.json").write_text(json.dumps({**_SPEC, "n_blocks": 20_000}))
-    data = tmp_path / "data.csv"
-    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(data)]) == 0
-    raw = data.read_bytes()
+    data, model, plot = (str(tmp_path / name) for name in ("data.csv", "model.json", "plot.csv"))
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", data]) == 0
+    raw = (tmp_path / "data.csv").read_bytes()
     assert len(raw) == 527_772
     assert hashlib.sha256(raw).hexdigest() == "1fa836a18428b431b10d2b3839cd602e12520c9b319b9b9e940f2aa19e1dbcb1"
+    assert main(["fit", "--kind", "joist", "--data", data, "--out", model]) == 0
+    assert main(["predict", "--model", model, "--data", data, "--out", plot]) == 0
+    capsys.readouterr()
+    assert main(["composition", "--data", data]) == 0
+    digests = {
+        "plot.csv": hashlib.sha256((tmp_path / "plot.csv").read_bytes()).hexdigest(),
+        "composition.stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+    }
+    assert digests == {
+        "plot.csv": "e4e8ff5236c825452894ee3630f8656f748daf39d04a47e096c34c698171c3e4",
+        "composition.stdout": "a81a9ad9f6ee13819cf80a6b7902fb3cb77f72d99427a41056bfa5c35e220dcb",
+    }
