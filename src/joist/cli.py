@@ -12,9 +12,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Mapping, Sequence
 
 from . import experiment, models
 from .errors import FormatError, JoistError, NumericalError, RemoteError
@@ -30,6 +28,7 @@ from .ingest import (
     write_features_csv,
 )
 from .models import GERVAIS_BASELINE, ModelKind, load_model, n_predictors, predict, save_model
+from .output import _csv_chunks
 
 ENV_RPC_URL = "JOIST_RPC_URL"
 ENV_RPC_USER = "JOIST_RPC_USER"
@@ -201,33 +200,20 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_composition(args) -> int:
-    ds = read_dataset(args.data)
-    report = experiment.composition_analysis(ds)
-    heights = map(str, report.heights.tolist())
-    shares = map(_float_strs, (report.transparent_in, report.spend_output, report.joinsplit))
-    lines = ["height,transparent_in,spend_output,joinsplit"]
-    lines.extend(map(",".join, zip(heights, *shares)))
+    report = experiment.composition_analysis(read_dataset(args.data))
+    columns = [report.heights, report.transparent_in, report.spend_output, report.joinsplit]
+    _write_stdout(map(bytes.decode, _csv_chunks("height,transparent_in,spend_output,joinsplit", columns)))
     if report.mean_transparent_in is not None:
-        lines.append(
-            f"mean,{report.mean_transparent_in},{report.mean_spend_output},{report.mean_joinsplit}"
-        )
-    print("\n".join(lines))
+        _write_stdout([f"mean,{report.mean_transparent_in},{report.mean_spend_output},{report.mean_joinsplit}\n"])
     if report.n_excluded:
-        print(
-            f"excluded {report.n_excluded} block(s) with no verification items",
-            file=sys.stderr,
-        )
+        print(f"excluded {report.n_excluded} block(s) with no verification items", file=sys.stderr)
     return EXIT_OK
 
 
-def _float_strs(values: np.ndarray) -> list[str]:
-    """str() of each float64 value, formatting each distinct bit pattern once.
-
-    Shares of small counts repeat a lot, and formatting dominates the cost.
-    """
-    distinct, index = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array([str(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-    return text[index].tolist()
+def _write_stdout(texts: Iterable[str]) -> None:
+    """Write a command's payload to stdout and flush it."""
+    sys.stdout.writelines(texts)
+    sys.stdout.flush()
 
 
 def _build_parser() -> argparse.ArgumentParser:

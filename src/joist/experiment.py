@@ -27,7 +27,7 @@ from .errors import (
 from .features import COUNT_COLUMNS, FEATURE_COLUMNS, Dataset
 from .fit import ols_fit
 from .models import PREDICTORS, ModelKind, ModelSpec, n_predictors, predict
-from .output import _atomic_write
+from .output import _atomic_write, _csv_chunks
 from .rng import SplitMix64, gaussians, shuffled_indices
 from .stats import EvalReport, centred, correlation, evaluate, exact_sum, require_finite
 
@@ -326,7 +326,6 @@ def emit_plot_data(predict_set: Dataset, model: ModelSpec, out: str | Path) -> N
     slope = exact_sum(x.deviations * (measured - y_mean)) / x.sum_squares
     intercept = y_mean - slope * x.mean
 
-    rows = zip(predict_set.height.tolist(), measured.tolist(), predictions.tolist())
-    lines = ["height,measured_us,predicted_us", *(f"{h},{m},{p}" for h, m, p in rows)]
+    table = _csv_chunks("height,measured_us,predicted_us", [predict_set.height, measured, predictions])
     line = json.dumps({"slope": slope, "intercept_us": intercept}) + "\n"
-    _atomic_write(out, ["\n".join(lines).encode(), b"\n"], (f"{out}.line.json", [line.encode()]))
+    _atomic_write(out, table, (f"{out}.line.json", [line.encode()]))

@@ -23,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -36,7 +36,7 @@ from .errors import (
     RpcConnectionError,
 )
 from .features import COLUMNS, Dataset, extract_tx_features, first_violation
-from .output import _atomic_write
+from .output import _atomic_write, _csv_chunks
 
 CSV_HEADER = ",".join(COLUMNS)
 
@@ -185,56 +185,9 @@ def fetch_block_features(endpoint: RpcEndpoint, height_range: tuple[int, int]) -
     return dict(zip(COLUMNS[:-1], table.T))
 
 
-# Rows per formatted block of a written CSV: a block is at most about 1.4 MB.
-CHUNK_ROWS = 8192
-
-# Two digits as uint16 text, by row: [0] a pair with a digit above it,
-# "00".."99"; [1] a value's last pair with none above, " 0".." 9", "10".."99";
-# [2] an earlier pair with none above, "  ", " 1".." 9", "10".."99". That is
-# 111 distinct pairs; the spaces pad and are dropped from the output.
-_PAIRS = np.frombuffer(
-    "".join(
-        [f"{i:02d}" for i in range(100)] + [f"{i:2d}" for i in range(100)] + ["  "] + [f"{i:2d}" for i in range(1, 100)]
-    ).encode(),
-    dtype=np.uint16,
-).reshape(3, 100)
-_COMMA, _NEWLINE = np.frombuffer(b", \n ", dtype=np.uint16)
-
-
-def _csv_chunks(columns: list[np.ndarray]) -> Iterator[bytes]:
-    """The interchange CSV of equal-length non-negative int64 columns, header first, in blocks of CHUNK_ROWS rows.
-
-    The bytes equal a ``"%d"`` join of every field.
-    """
-    yield (CSV_HEADER + "\n").encode()
-    for start in range(0, len(columns[0]), CHUNK_ROWS):
-        yield _format_rows([c[start:start + CHUNK_ROWS] for c in columns])
-
-
-def _format_rows(columns: list[np.ndarray]) -> bytes:
-    # One row of `text` per digit pair or separator, one column per CSV row.
-    widths = [(len(str(int(c.max()))) + 1) // 2 for c in columns]
-    text = np.empty((sum(widths) + len(columns), len(columns[0])), dtype=np.uint16)
-    end = 0
-    for c, width in zip(columns, widths):
-        end += width
-        rest = c
-        for slot in range(end - 1, end - width, -1):  # the pairs below the top one, last first
-            above = rest // 100
-            index = rest - 100 * above
-            index += (100 if slot == end - 1 else 200) * (above == 0)  # no higher digit: a top pair
-            np.take(_PAIRS, index, out=text[slot])
-            rest = above
-        np.take(_PAIRS[1 if width == 1 else 2], rest, out=text[end - width])
-        text[end] = _COMMA
-        end += 1
-    text[-1] = _NEWLINE
-    return text.T.tobytes().translate(None, b" ")
-
-
 def write_dataset(ds: Dataset, path: str | Path) -> None:
     """Write the dataset in the interchange CSV format, rows sorted by height."""
-    _atomic_write(path, _csv_chunks([getattr(ds, c) for c in COLUMNS]))
+    _atomic_write(path, _csv_chunks(CSV_HEADER, [getattr(ds, c) for c in COLUMNS]))
 
 
 def write_features_csv(columns: Mapping[str, np.ndarray], path: str | Path) -> None:
@@ -254,7 +207,7 @@ def write_features_csv(columns: Mapping[str, np.ndarray], path: str | Path) -> N
     if violation is not None:
         i, message = violation
         raise IntegrityError(f"height {table['height'][i]}: {message}")
-    _atomic_write(path, _csv_chunks([*table.values(), np.zeros(len(order), dtype=np.int64)]))
+    _atomic_write(path, _csv_chunks(CSV_HEADER, [*table.values(), np.zeros(len(order), dtype=np.int64)]))
 
 
 def read_dataset(path: str | Path) -> Dataset:

@@ -1,8 +1,11 @@
-"""Crash-safe output files: every file the package writes goes through :func:`_atomic_write`.
+"""How the package writes output: one CSV formatter and one crash-safe file writer.
 
-A regular file is written in full under a temporary name in its own
-directory and then moved over the target with ``os.replace``, so a run that
-fails, or is interrupted, leaves the old file (or none) and no partial one.
+Every CSV table (dataset, features, plot data and the composition table on
+stdout) is formatted by :func:`_csv_chunks`. Every file the package writes
+goes through :func:`_atomic_write`: a regular file is written in full under a
+temporary name in its own directory and then moved over the target with
+``os.replace``, so a run that fails, or is interrupted, leaves the old file
+(or none) and no partial one.
 """
 
 from __future__ import annotations
@@ -11,10 +14,70 @@ import os
 import stat
 from contextlib import suppress
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
+
+import numpy as np
 
 # A temporary file is named ".<target name>.<8 hex digits>" + TEMP_SUFFIX.
 TEMP_SUFFIX = ".joist-tmp"
+
+# Rows per formatted block of a written CSV: a block is at most about 1.4 MB.
+CHUNK_ROWS = 8192
+
+# Two digits as uint16 text, by row: [0] a pair with a digit above it,
+# "00".."99"; [1] a value's last pair with none above, " 0".." 9", "10".."99";
+# [2] an earlier pair with none above, "  ", " 1".." 9", "10".."99". That is
+# 111 distinct pairs; the spaces pad and are dropped from the output.
+_PAIRS = np.frombuffer(
+    "".join(
+        [f"{i:02d}" for i in range(100)] + [f"{i:2d}" for i in range(100)] + ["  "] + [f"{i:2d}" for i in range(1, 100)]
+    ).encode(),
+    dtype=np.uint16,
+).reshape(3, 100)
+_COMMA, _NEWLINE = np.frombuffer(b", \n ", dtype=np.uint16)
+
+
+def _csv_chunks(header: str, columns: list[np.ndarray]) -> Iterator[bytes]:
+    """The CSV of equal-length columns under *header*, header first, in blocks of CHUNK_ROWS rows.
+
+    A column is non-negative int64, formatted as ``"%d"``, or float64, formatted as ``str()``.
+    """
+    yield (header + "\n").encode()
+    for start in range(0, len(columns[0]), CHUNK_ROWS):
+        yield _format_rows([c[start:start + CHUNK_ROWS] for c in columns])
+
+
+def _format_rows(columns: list[np.ndarray]) -> bytes:
+    # A float column's text: str() of each distinct bit pattern (so -0.0 is not 0.0), space-padded
+    # to whole pairs, as a (pairs, distinct values) table and each row's index into it.
+    floats = {}
+    for i, c in enumerate(columns):
+        if c.dtype == np.float64:
+            bits, index = np.unique(c.view(np.int64), return_inverse=True)
+            strs = np.array([str(v) for v in bits.view(np.float64).tolist()], dtype="S")
+            table = np.char.ljust(strs, strs.itemsize + strs.itemsize % 2)
+            floats[i] = table.view(np.uint16).reshape(len(table), -1).T, index
+    # One row of `text` per digit pair or separator, one column per CSV row.
+    widths = [len(floats[i][0]) if i in floats else (len(str(int(c.max()))) + 1) // 2 for i, c in enumerate(columns)]
+    text = np.empty((sum(widths) + len(columns), len(columns[0])), dtype=np.uint16)
+    end = 0
+    for i, (c, width) in enumerate(zip(columns, widths)):
+        end += width
+        if i in floats:
+            np.take(*floats[i], axis=1, out=text[end - width:end])
+        else:
+            rest = c
+            for slot in range(end - 1, end - width, -1):  # the pairs below the top one, last first
+                above = rest // 100
+                index = rest - 100 * above
+                index += (100 if slot == end - 1 else 200) * (above == 0)  # no higher digit: a top pair
+                np.take(_PAIRS, index, out=text[slot])
+                rest = above
+            np.take(_PAIRS[1 if width == 1 else 2], rest, out=text[end - width])
+        text[end] = _COMMA
+        end += 1
+    text[-1] = _NEWLINE
+    return text.T.tobytes().translate(None, b" ")
 
 
 def _atomic_write(

@@ -82,7 +82,7 @@ def test_seeded_cli_chain_bytes(tmp_path, capsys):
 def test_synth_bytes_across_write_chunks(tmp_path, capsys):
     if (np.__version__, platform.machine()) != _PINNED_ON:
         pytest.skip(f"pins recorded on numpy/machine {_PINNED_ON}")
-    # 20,000 rows span three blocks of the CSV writer (ingest.CHUNK_ROWS), so
+    # 20,000 rows span three blocks of the CSV writer (output.CHUNK_ROWS), so
     # the dataset, plot.csv and composition tables each cross two block ends.
     (tmp_path / "spec.json").write_text(json.dumps({**_SPEC, "n_blocks": 20_000}))
     data, model, plot = (str(tmp_path / name) for name in ("data.csv", "model.json", "plot.csv"))

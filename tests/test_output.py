@@ -27,7 +27,8 @@ from joist import (
 )
 from joist.cli import main
 from joist.features import COLUMNS
-from joist.ingest import CHUNK_ROWS, CSV_HEADER, _csv_chunks
+from joist.ingest import CSV_HEADER
+from joist.output import CHUNK_ROWS, _csv_chunks
 from joist.output import TEMP_SUFFIX
 
 from conftest import REFERENCE_JOIST, make_dataset
@@ -61,7 +62,7 @@ def tables(draw):
 @settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(columns=tables())
 def test_formatter_equals_percent_d(columns):
-    assert b"".join(_csv_chunks(columns)) == _percent_d(columns)
+    assert b"".join(_csv_chunks(CSV_HEADER, columns)) == _percent_d(columns)
 
 
 @settings(deadline=None, max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
