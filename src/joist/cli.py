@@ -2,12 +2,14 @@
 
 Machine-readable payloads (CSV or single-line JSON) go to stdout; everything
 else goes to stderr. Exit codes: 0 success, 1 usage error, 2 data/integrity
-error, 3 remote/transport error, 4 numerical error.
+error, 3 remote/transport error, 4 numerical error, 130 interrupted (Ctrl-C),
+141 the reader of a pipe closed it.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -39,6 +41,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_REMOTE = 3
 EXIT_NUMERICAL = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 class _UsageError(Exception):
@@ -174,7 +178,7 @@ def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     ds = read_dataset(args.data)
     report = evaluate(ds.verify_time_us, predict(model, ds), n_predictors(model.kind))
-    print(json.dumps(asdict(report)))
+    _write_stdout([json.dumps(asdict(report)) + "\n"])
     return EXIT_OK
 
 
@@ -185,17 +189,16 @@ def _cmd_compare(args) -> int:
     rows = experiment.run_comparison(
         ds, plan, kinds=(ModelKind.JOIST, ModelKind.BLOCK_SIZE), baselines=baselines
     )
-    print("\n".join(experiment.comparison_csv_lines(rows)))
+    _write_stdout(line + "\n" for line in experiment.comparison_csv_lines(rows))
     return EXIT_OK
 
 
 def _cmd_correlate(args) -> int:
     ds = read_dataset(args.data)
     table = experiment.correlation_table(ds)
-    lines = ["feature,r"]
-    for name, r in table.items():
-        lines.append(f"{name},{'degenerate' if r is None else r}")
-    print("\n".join(lines))
+    # A tiny table with a string column: joined here, not by the column formatter.
+    lines = [f"{name},{'degenerate' if r is None else r}\n" for name, r in table.items()]
+    _write_stdout(["feature,r\n", *lines])
     return EXIT_OK
 
 
@@ -211,7 +214,9 @@ def _cmd_composition(args) -> int:
 
 
 def _write_stdout(texts: Iterable[str]) -> None:
-    """Write a command's payload to stdout and flush it."""
+    """Write a command's payload to stdout and flush it: every command's stdout goes through here."""
+    if sys.stdout is None:  # the process started with stdout closed
+        raise OSError(errno.EBADF, "stdout is closed")
     sys.stdout.writelines(texts)
     sys.stdout.flush()
 
@@ -281,9 +286,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader of a pipe is gone. As the signal module's docs advise, point stdout at
+        # devnull so that the flush at exit cannot fail again, and exit as SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return EXIT_BROKEN_PIPE
     except (_UsageError, JoistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -312,8 +312,4 @@ def _parse_field(part: str, where: str) -> int:
             if _INT64.min <= value <= _INT64.max:
                 return value
         raise FormatError(f"{where}: field {part} is outside the int64 range")
-    try:
-        int(part)
-    except ValueError as exc:
-        raise FormatError(f"{where}: non-integer field: {exc}") from exc
     raise FormatError(f"{where}: field {part!r} is not plain base-10 digits")

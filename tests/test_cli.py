@@ -6,12 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import joist
+import joist.cli
 
 from joist import ModelKind, ModelSpec, load_model, read_dataset, save_model
 from joist.cli import main
+from joist.features import COLUMNS
 from joist.ingest import CSV_HEADER
 
 from conftest import (
@@ -490,13 +493,66 @@ def test_fetch_non_ascii_password_is_sent_as_utf8(monkeypatch, tmp_path, rpc_ser
     assert "authentication rejected" in capsys.readouterr().err
 
 
+def _subprocess_env():
+    """The environment for a fresh interpreter that imports this checkout's joist."""
+    src = str(Path(joist.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_cli_import_loads_no_http_stack():
     # The transport imports its HTTP modules and fetch its thread pool on
     # first use, so commands other than fetch do not pay for them at start-up.
-    src = str(Path(joist.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = "import sys, joist.cli; print(sorted({'requests', 'urllib.request', 'http.client', 'concurrent.futures', 'logging'} & set(sys.modules)))"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+        [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True, timeout=60, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# stdout that cannot be written, and Ctrl-C
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def two_chunk_data(tmp_path):
+    """A 20,000-row dataset: its composition table spans three write chunks, far more than a pipe holds."""
+    h = np.arange(20_000, dtype=np.int64)
+    columns = [h, h + 900, h % 3, h % 4 + 1, h % 2, h % 5, h % 3, h + 1000]
+    path = tmp_path / "data.csv"
+    write_dataset(joist.Dataset(dict(zip(COLUMNS, columns))), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "redirect, message",
+    [(">&-", "[Errno 9] stdout is closed"), ("> /dev/full", "[Errno 28] No space left on device")],
+    ids=["closed", "full"],
+)
+def test_unwritable_stdout_is_one_line_data_error(two_chunk_data, redirect, message):
+    script = f'exec "$0" -m joist.cli composition --data "$1" {redirect}'
+    result = subprocess.run(
+        ["sh", "-c", script, sys.executable, str(two_chunk_data)],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_reader_closing_the_pipe_exits_as_sigpipe(two_chunk_data):
+    with subprocess.Popen(
+        [sys.executable, "-m", "joist.cli", "composition", "--data", str(two_chunk_data)],
+        env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"height,transparent_in,spend_output,joinsplit\n"
+        proc.stdout.close()  # as `| head -1` does
+        stderr = proc.stderr.read()
+        assert (proc.wait(timeout=60), stderr) == (141, b"")
+
+
+def test_ctrl_c_exits_130_with_one_line(tmp_path, monkeypatch, capsys):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(joist.cli, "_cmd_correlate", interrupted)
+    assert main(["correlate", "--data", str(tmp_path / "data.csv")]) == 130
+    assert capsys.readouterr() == ("", "interrupted\n")

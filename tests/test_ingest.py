@@ -134,11 +134,13 @@ def test_read_sorts_unsorted_rows(tmp_path):
     assert read_dataset(path).height.tolist() == [100, 102]
 
 
-@pytest.mark.parametrize("field", ["1_000", " +5", "+5", "5 ", "\u0665", "0x10"])
+@pytest.mark.parametrize(
+    "field", ["1_000", " +5", "+5", "5 ", "\u0665", "0x10", "abc", pytest.param("+" + "9" * 5000, id="+9x5000")]
+)
 def test_read_rejects_lenient_integer_fields(tmp_path, field):
     path = tmp_path / "ds.csv"
     path.write_text(CSV_HEADER + f"\n100,285,0,2,0,0,0,1807\n101,{field},0,2,0,0,0,1807\n", encoding="utf-8")
-    with pytest.raises(FormatError, match="ds.csv:3: "):
+    with pytest.raises(FormatError, match=r"ds.csv:3: field '.*' is not plain base-10 digits$"):
         read_dataset(path)
 
 

@@ -41,26 +41,42 @@ INT64_MAX = 2**63 - 1
 
 # Every dataset value is a non-negative int64.
 _BOUNDARIES = [0, 1, INT64_MAX - 1, INT64_MAX] + [10**k + d for k in range(1, 19) for d in (-1, 0, 1)]
+# Plot predictions and composition shares are finite float64s; str() of some has an exponent.
+_FLOAT_BOUNDARIES = [-0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308, -1.5, 0.1, 1 / 3, -2.5e-7, 123456.789]
 
 
 def _percent_d(columns: list[np.ndarray]) -> bytes:
-    """The CSV as a "%d" join of every field, header first."""
-    line = ",".join(["%d"] * len(columns)) + "\n"
-    body = (line * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist())
+    """The CSV as a "%d" join of every int64 field and str() of every float64 field, header first."""
+    line = ",".join("%s" if c.dtype == np.float64 else "%d" for c in columns) + "\n"
+    body = (line * len(columns[0])) % tuple(v for row in zip(*(c.tolist() for c in columns)) for v in row)
     return (CSV_HEADER + "\n" + body).encode()
 
 
 @st.composite
-def tables(draw):
-    """Eight non-negative int64 columns of 1 to 16,385 rows (about two write chunks), from a few drawn values."""
+def tables(draw, floats=False):
+    """Eight columns of 1 to 16,385 rows (about two write chunks), each from a few drawn values.
+
+    The columns are non-negative int64. With *floats*, each is int64 or
+    float64, and a float64 column may hold a distinct value in every row.
+    """
     n = draw(st.sampled_from([1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]))
-    pool = draw(st.lists(st.sampled_from(_BOUNDARIES) | st.integers(0, INT64_MAX), min_size=1, max_size=12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return list(rng.choice(np.array(pool, dtype=np.int64), size=(len(COLUMNS), n)))
+    columns = []
+    for _ in COLUMNS:
+        kind = draw(st.sampled_from(["int64", "float64", "distinct"])) if floats else "int64"
+        if kind == "distinct":
+            columns.append(rng.standard_normal(n) * draw(st.sampled_from([1e-300, 1.0, 1e300])))
+            continue
+        values = st.sampled_from(_BOUNDARIES) | st.integers(0, INT64_MAX)
+        if kind == "float64":
+            values = st.sampled_from(_FLOAT_BOUNDARIES) | st.floats(allow_nan=False, allow_infinity=False)
+        pool = draw(st.lists(values, min_size=1, max_size=12))
+        columns.append(rng.choice(np.array(pool, dtype=kind), size=n))
+    return columns
 
 
 @settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(columns=tables())
+@given(columns=tables(floats=True))
 def test_formatter_equals_percent_d(columns):
     assert b"".join(_csv_chunks(CSV_HEADER, columns)) == _percent_d(columns)
 
