@@ -13,24 +13,15 @@ import errno
 import json
 import os
 import sys
-from dataclasses import asdict
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from . import experiment, models
 from .errors import FormatError, JoistError, NumericalError, RemoteError
-from .experiment import SplitPlan, SynthSpec
-from .fit import ols_fit
-from .stats import evaluate
-from .ingest import (
-    MAX_PARALLEL,
-    RpcEndpoint,
-    fetch_block_features,
-    read_dataset,
-    write_dataset,
-    write_features_csv,
-)
-from .models import GERVAIS_BASELINE, ModelKind, load_model, n_predictors, predict, save_model
-from .output import _csv_chunks
+
+# The modules that need numpy are imported by the command that uses them, when it
+# runs, so that `--help` and usage errors do not load them.
+if TYPE_CHECKING:
+    from .experiment import SynthSpec
+    from .ingest import RpcEndpoint
 
 ENV_RPC_URL = "JOIST_RPC_URL"
 ENV_RPC_USER = "JOIST_RPC_USER"
@@ -65,8 +56,18 @@ class _ArgumentParser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+    # argparse drops an OSError from writing help and falls back to stderr for a
+    # closed stdout; help is a stdout payload like any other.
+    def print_help(self, file=None):
+        if file is None:
+            _write_stdout([self.format_help()])
+        else:
+            super().print_help(file)
+
 
 def _endpoint_from_env(parallel: int) -> RpcEndpoint:
+    from .ingest import RpcEndpoint
+
     url = os.environ.get(ENV_RPC_URL)
     user = os.environ.get(ENV_RPC_USER)
     password = os.environ.get(ENV_RPC_PASS)
@@ -81,6 +82,8 @@ def _endpoint_from_env(parallel: int) -> RpcEndpoint:
 
 
 def _cmd_fetch(args) -> int:
+    from .ingest import MAX_PARALLEL, fetch_block_features, write_features_csv
+
     if not 1 <= args.parallel <= MAX_PARALLEL:
         raise _UsageError(f"--parallel must be in 1..{MAX_PARALLEL}")
     endpoint = _endpoint_from_env(parallel=args.parallel)
@@ -95,14 +98,17 @@ def _cmd_fetch(args) -> int:
 
 
 def _synth_spec_from_json(doc) -> SynthSpec:
+    from .experiment import SynthSpec
+    from .models import finite_float, from_json_dict
+
     if not isinstance(doc, Mapping):
         raise FormatError("synthesis spec must be a JSON object")
     true_model_doc = doc.get("true_model")
     if true_model_doc is None:
         raise FormatError('synthesis spec missing "true_model"')
-    true_model = models.from_json_dict(true_model_doc)
+    true_model = from_json_dict(true_model_doc)
 
-    noise = models.finite_float(doc.get("noise_sigma_us"), 'synthesis spec missing finite numeric "noise_sigma_us"')
+    noise = finite_float(doc.get("noise_sigma_us"), 'synthesis spec missing finite numeric "noise_sigma_us"')
 
     ranges_doc = doc.get("count_ranges")
     if not isinstance(ranges_doc, Mapping):
@@ -133,25 +139,33 @@ def _synth_spec_from_json(doc) -> SynthSpec:
 
 
 def _cmd_synth(args) -> int:
+    from .experiment import generate_synthetic
+    from .ingest import write_dataset
+
     try:
         with open(args.spec, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge number, deep nesting
         raise FormatError(f"{args.spec}: not valid JSON: {exc}") from exc
     spec = _synth_spec_from_json(doc)
-    ds = experiment.generate_synthetic(spec)
+    ds = generate_synthetic(spec)
     write_dataset(ds, args.out)
     print(f"wrote {len(ds)} synthetic samples to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_fit(args) -> int:
+    from .experiment import SplitPlan, split
+    from .fit import ols_fit
+    from .ingest import read_dataset
+    from .models import ModelKind, save_model
+
     if (args.seed is None) != (args.n_fit is None):
         raise _UsageError("--seed and --n-fit must be given together")
     ds = read_dataset(args.data)
     if args.seed is not None:
         plan = SplitPlan(seed=args.seed, n_fit=args.n_fit, n_predict=len(ds) - args.n_fit)
-        train, _ = experiment.split(ds, plan)
+        train, _ = split(ds, plan)
     else:
         train = ds
     result = ols_fit(ModelKind(args.kind), train)
@@ -167,14 +181,24 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from .experiment import emit_plot_data
+    from .ingest import read_dataset
+    from .models import load_model
+
     model = load_model(args.model)
     ds = read_dataset(args.data)
-    experiment.emit_plot_data(ds, model, args.out)
+    emit_plot_data(ds, model, args.out)
     print(f"wrote plot data to {args.out} (regression line in {args.out}.line.json)", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
+    from dataclasses import asdict
+
+    from .ingest import read_dataset
+    from .models import load_model, n_predictors, predict
+    from .stats import evaluate
+
     model = load_model(args.model)
     ds = read_dataset(args.data)
     report = evaluate(ds.verify_time_us, predict(model, ds), n_predictors(model.kind))
@@ -183,19 +207,26 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .experiment import SplitPlan, comparison_csv_lines, run_comparison
+    from .ingest import read_dataset
+    from .models import GERVAIS_BASELINE, ModelKind
+
     ds = read_dataset(args.data)
     plan = SplitPlan(seed=args.seed, n_fit=args.n_fit, n_predict=len(ds) - args.n_fit)
     baselines = (GERVAIS_BASELINE,) if args.baseline_gervais else ()
-    rows = experiment.run_comparison(
+    rows = run_comparison(
         ds, plan, kinds=(ModelKind.JOIST, ModelKind.BLOCK_SIZE), baselines=baselines
     )
-    _write_stdout(line + "\n" for line in experiment.comparison_csv_lines(rows))
+    _write_stdout(line + "\n" for line in comparison_csv_lines(rows))
     return EXIT_OK
 
 
 def _cmd_correlate(args) -> int:
+    from .experiment import correlation_table
+    from .ingest import read_dataset
+
     ds = read_dataset(args.data)
-    table = experiment.correlation_table(ds)
+    table = correlation_table(ds)
     # A tiny table with a string column: joined here, not by the column formatter.
     lines = [f"{name},{'degenerate' if r is None else r}\n" for name, r in table.items()]
     _write_stdout(["feature,r\n", *lines])
@@ -203,7 +234,11 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_composition(args) -> int:
-    report = experiment.composition_analysis(read_dataset(args.data))
+    from .experiment import composition_analysis
+    from .ingest import read_dataset
+    from .output import _csv_chunks
+
+    report = composition_analysis(read_dataset(args.data))
     columns = [report.heights, report.transparent_in, report.spend_output, report.joinsplit]
     _write_stdout(map(bytes.decode, _csv_chunks("height,transparent_in,spend_output,joinsplit", columns)))
     if report.mean_transparent_in is not None:
@@ -217,8 +252,17 @@ def _write_stdout(texts: Iterable[str]) -> None:
     """Write a command's payload to stdout and flush it: every command's stdout goes through here."""
     if sys.stdout is None:  # the process started with stdout closed
         raise OSError(errno.EBADF, "stdout is closed")
-    sys.stdout.writelines(texts)
-    sys.stdout.flush()
+    try:
+        sys.stdout.writelines(texts)
+        sys.stdout.flush()
+    except OSError:
+        # A full disk or a reader that closed the pipe. What was not written stays in the
+        # buffer, and the flush at exit would fail on it again: as the signal module's docs
+        # advise, point stdout at devnull first.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -281,15 +325,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
-    try:
+        args = parser.parse_args(argv)  # inside the try: help is written through _write_stdout
         return args.func(args)
-    except BrokenPipeError:
-        # The reader of a pipe is gone. As the signal module's docs advise, point stdout at
-        # devnull so that the flush at exit cannot fail again, and exit as SIGPIPE would.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    except SystemExit as exc:  # argparse, after help or a usage error
+        return int(exc.code) if exc.code is not None else EXIT_OK
+    except BrokenPipeError:  # the reader of a pipe is gone: exit as SIGPIPE would
         return EXIT_BROKEN_PIPE
     except (_UsageError, JoistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

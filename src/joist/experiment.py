@@ -245,6 +245,11 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
             does not fit in int64.
     """
     names = PREDICTORS[ModelKind.JOIST]
+    # First, so that the bounds below convert to floats; the size may be too long for str().
+    max_size = _SYNTH_BASE_BYTES + sum(_SYNTH_BYTES[n] * spec.count_ranges[n][1] for n in names)
+    if max_size > _INT64_MAX:
+        raise SynthSpecError("count ranges allow block sizes beyond int64")
+
     coeffs = spec.true_model.coefficients
     best = spec.true_model.intercept_us
     for name in names:
@@ -257,9 +262,6 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
 
     lo = {name: spec.count_ranges[name][0] for name in names}
     span = {name: spec.count_ranges[name][1] - lo[name] + 1 for name in names}
-    max_size = _SYNTH_BASE_BYTES + sum(_SYNTH_BYTES[n] * spec.count_ranges[n][1] for n in names)
-    if max_size > _INT64_MAX:
-        raise SynthSpecError(f"count ranges allow block sizes up to {max_size}, beyond int64")
 
     # Eight raw draws per block, in the documented order. numpy refuses a
     # buffer beyond its size limit or the address space before touching memory.

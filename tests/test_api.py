@@ -3,6 +3,7 @@ addition or removal shows up as a one-line change here."""
 
 from __future__ import annotations
 
+import importlib
 import types
 
 import pytest
@@ -60,13 +61,23 @@ PUBLIC_NAMES = [
 ]
 
 
-def test_public_names_are_pinned():
+def _public(names):
     # Submodules (joist.cli, joist.rng, ...) appear as attributes once imported; they are not names.
-    public = sorted(
-        name for name, value in vars(joist).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    return sorted(
+        name for name in names
+        if not name.startswith("_") and not isinstance(getattr(joist, name), types.ModuleType)
     )
-    assert public == PUBLIC_NAMES
+
+
+def test_public_names_are_pinned():
+    # Names load on first use, so vars(joist) holds only those some earlier code touched;
+    # __all__ and dir() list them all, and every one resolves to its submodule's object.
+    assert sorted(joist.__all__) == PUBLIC_NAMES
+    assert _public(dir(joist)) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        submodule = importlib.import_module(f"joist.{joist._SUBMODULE[name]}")
+        assert getattr(joist, name) is getattr(submodule, name)
+    assert _public(vars(joist)) == PUBLIC_NAMES
 
 
 @pytest.mark.parametrize(

@@ -499,14 +499,48 @@ def _subprocess_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def test_cli_import_loads_no_http_stack():
-    # The transport imports its HTTP modules and fetch its thread pool on
-    # first use, so commands other than fetch do not pay for them at start-up.
-    probe = "import sys, joist.cli; print(sorted({'requests', 'urllib.request', 'http.client', 'concurrent.futures', 'logging'} & set(sys.modules)))"
+# Modules that only a command's own work needs: `import joist`, `--help` and a usage error load none.
+_COMMAND_MODULES = {"numpy", *(f"joist.{m}" for m in ("experiment", "features", "fit", "ingest", "models", "output", "rng", "stats"))}
+_HTTP_STACK = {"requests", "urllib.request", "http.client", "concurrent.futures", "logging"}
+
+
+@pytest.mark.parametrize(
+    "statement, exit_code, absent",
+    [
+        ("import joist", 0, _COMMAND_MODULES),
+        ("import joist.cli", 0, _COMMAND_MODULES),
+        ("import joist.cli; code = joist.cli.main(['--help'])", 0, _COMMAND_MODULES),
+        ("import joist.cli; code = joist.cli.main(['fit'])", 1, _COMMAND_MODULES),
+        (
+            "import joist.cli; code = joist.cli.main(['evaluate', '--model', MODEL, '--data', DATA])",
+            0,
+            {"joist.experiment", "joist.fit", "joist.rng"},
+        ),
+    ],
+    ids=["import-joist", "import-cli", "help", "usage-error", "evaluate"],
+)
+def test_cli_import_loads_no_http_stack(tmp_path, statement, exit_code, absent):
+    # The transport imports its HTTP modules and fetch its thread pool on first use,
+    # and each command the joist modules it uses when it runs, so that start-up pays
+    # for neither. Each probe runs in a fresh interpreter.
+    model, data = tmp_path / "model.json", tmp_path / "data.csv"
+    save_model(_TRUTH, model)
+    write_dataset(make_dataset([(h, 900 + h, h % 3, h % 4, h % 2, h % 5, h % 3, 5000 + 97 * h) for h in range(8)]), data)
+    probe = "\n".join([
+        "import sys",
+        f"MODEL, DATA, code = {str(model)!r}, {str(data)!r}, 0",
+        statement,
+        "print(','.join(sorted(sys.modules)), file=sys.stderr)",
+        "sys.exit(code)",
+    ])
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True, timeout=60, check=True
+        [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True, timeout=60
     )
-    assert result.stdout.strip() == "[]"
+    assert result.returncode == exit_code, result.stderr
+    loaded = set(result.stderr.splitlines()[-1].split(","))
+    assert "joist.errors" in loaded
+    assert loaded & absent == set()
+    assert loaded & _HTTP_STACK == set()
 
 
 # ---------------------------------------------------------------------------
@@ -525,17 +559,25 @@ def two_chunk_data(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "redirect, message",
-    [(">&-", "[Errno 9] stdout is closed"), ("> /dev/full", "[Errno 28] No space left on device")],
-    ids=["closed", "full"],
+    "command, redirect, message",
+    [
+        ("composition --data", ">&-", "[Errno 9] stdout is closed"),
+        ("composition --data", "> /dev/full", "[Errno 28] No space left on device"),
+        ("--help", ">&-", "[Errno 9] stdout is closed"),
+        ("--help", "> /dev/full", "[Errno 28] No space left on device"),
+        ("fit --help", "> /dev/full", "[Errno 28] No space left on device"),
+    ],
+    ids=["closed", "full", "help-closed", "help-full", "subcommand-help-full"],
 )
-def test_unwritable_stdout_is_one_line_data_error(two_chunk_data, redirect, message):
-    script = f'exec "$0" -m joist.cli composition --data "$1" {redirect}'
-    result = subprocess.run(
-        ["sh", "-c", script, sys.executable, str(two_chunk_data)],
-        env=_subprocess_env(), capture_output=True, text=True, timeout=60,
-    )
-    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+def test_unwritable_stdout_is_one_line_data_error(two_chunk_data, command, redirect, message):
+    # Buffered, the text that could not be written would fail again in the flush at exit.
+    script = f'exec "$0" -m joist.cli {command} "$1" {redirect}'
+    for unbuffered in ("1", ""):
+        result = subprocess.run(
+            ["sh", "-c", script, sys.executable, str(two_chunk_data)],
+            env=dict(_subprocess_env(), PYTHONUNBUFFERED=unbuffered), capture_output=True, text=True, timeout=60,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_reader_closing_the_pipe_exits_as_sigpipe(two_chunk_data):

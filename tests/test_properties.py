@@ -1,18 +1,23 @@
-"""Property tests for the file boundaries: dataset CSV and model JSON."""
+"""Property tests for the file boundaries: dataset CSV, model JSON and synthesis spec."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import re
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from joist import Dataset, IntegrityError, JoistError, ModelKind, ModelSpec, load_model, read_dataset, save_model
-from joist.cli import _synth_spec_from_json
+from joist.cli import _synth_spec_from_json, main
 from joist.features import COLUMNS, COUNT_COLUMNS
 from joist.ingest import CSV_HEADER, _dataset, _row_columns, write_dataset
-from joist.models import PREDICTORS, from_json_dict
+from joist.models import PREDICTORS, from_json_dict, to_json_dict
 
 INT64_MAX = 2**63 - 1
 
@@ -239,3 +244,125 @@ def test_model_json_round_trip(work, model):
     loaded = load_model(path)
     assert loaded == model
     assert json.loads(path.read_text())["kind"] == model.kind.value
+
+
+# ---------------------------------------------------------------------------
+# every command that reads a file, run through cli.main
+# ---------------------------------------------------------------------------
+
+
+def _csv_bytes(ds: Dataset) -> bytes:
+    rows = zip(*(getattr(ds, c).tolist() for c in COLUMNS))
+    return "".join(f"{line}\n" for line in [CSV_HEADER, *(",".join(map(str, row)) for row in rows)]).encode()
+
+
+@st.composite
+def spec_bytes(draw):
+    ranges = {}
+    for name in PREDICTORS[ModelKind.JOIST]:
+        lo = draw(st.integers(0, 50))
+        ranges[name] = [lo, lo + draw(st.integers(0, 50))]
+    doc = {
+        "true_model": to_json_dict(draw(models())),
+        "noise_sigma_us": draw(st.floats(0, 1e3)),
+        "count_ranges": ranges,
+        "n_blocks": draw(st.integers(1, 40)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+    }
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def damaged(draw, valid):
+    """A valid file, or one truncated, with a non-UTF-8 byte, a long digit run or deep `[` nesting."""
+    raw = draw(valid)
+    how = draw(st.sampled_from(["valid", "truncated", "non-utf8", "digits", "nested"]))
+    if how == "valid":
+        return raw
+    if how == "truncated":
+        return raw[: draw(st.integers(0, len(raw)))]
+    if how == "non-utf8":
+        at = draw(st.integers(0, len(raw)))
+        return raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])) + raw[at:]
+    # A number, or a point anywhere, becomes the digit run or the nesting.
+    numbers = [(m.start(), m.end()) for m in re.finditer(rb"\d+", raw)]
+    at = draw(st.integers(0, len(raw)))
+    start, end = draw(st.sampled_from(numbers)) if numbers and draw(st.booleans()) else (at, at)
+    if how == "digits":
+        text = b"7" * draw(st.sampled_from([4299, 4300, 4301, 5000]))
+    else:
+        depth = draw(st.sampled_from([999, 1000, 200_000]) | st.integers(1, 200_000))
+        text = b"[" * depth + b"]" * draw(st.sampled_from([0, depth]))
+    return raw[:start] + text + raw[end:]
+
+
+_CLI_NUMBERS = st.sampled_from(["0", "3", "7", "-1", "9" * 4299, "9" * 4301])
+_MODEL = json.dumps(
+    to_json_dict(
+        ModelSpec(ModelKind.JOIST, {"joinsplit": 100.0, "output": 50.0, "transparent_in": 10.0, "spend": 200.0}, 5e3)
+    )
+).encode()
+_SPEC = json.dumps(
+    {
+        "true_model": json.loads(_MODEL),
+        "noise_sigma_us": 20.0,
+        "count_ranges": {"joinsplit": [0, 5], "output": [0, 20], "transparent_in": [0, 200], "spend": [0, 10]},
+        "n_blocks": 30,
+        "seed": 42,
+    }
+).encode()
+_DATA = "".join(
+    [f"{CSV_HEADER}\n"]
+    + [f"{h},{900 + 37 * h},{h % 3},{h % 4},{h % 2},{h % 5},{h * h % 7},{5000 + 97 * h + h * h % 11}\n"
+       for h in range(1, 13)]
+).encode()
+
+
+@settings(deadline=None, max_examples=100)
+@example(model=_MODEL, spec=_SPEC, data=_DATA, seed="7", n_fit="6")
+@example(model=_MODEL, spec=_SPEC.replace(b"200]", b"7" * 4299 + b"]"), data=_DATA, seed="7", n_fit="6")
+@example(
+    model=_MODEL.replace(b"5000.0", b"7" * 4300),
+    spec=_SPEC.replace(b"42", b"[" * 200_000),
+    data=_DATA.replace(b"\n1,", b"\n" + b"1" * 5000 + b",", 1),
+    seed="9" * 4301,
+    n_fit="9" * 4299,
+)
+@example(
+    model=_MODEL.replace(b"100.0", b"[" * 200_000),
+    spec=_SPEC.replace(b"30", b"3" * 4299),
+    data=_DATA.replace(b"\n1,", b"\n" + b"1" * 4301 + b",", 1)[:-9] + b"\xff",
+    seed="0",
+    n_fit="3",
+)
+@given(
+    model=damaged(models().map(lambda m: json.dumps(to_json_dict(m)).encode())),
+    spec=damaged(spec_bytes()),
+    data=damaged(datasets().map(_csv_bytes)),
+    seed=_CLI_NUMBERS,
+    n_fit=_CLI_NUMBERS,
+)
+def test_every_file_reading_command_exits_with_one_error_line_at_most(model, spec, data, seed, n_fit):
+    with tempfile.TemporaryDirectory() as work:
+        m, s, d, out = (os.path.join(work, name) for name in ("model.json", "spec.json", "data.csv", "out"))
+        for path, raw in ((m, model), (s, spec), (d, data)):
+            with open(path, "wb") as fh:
+                fh.write(raw)
+        for argv in (
+            ["synth", "--spec", s, "--out", out],
+            ["fit", "--kind", "joist", "--data", d, "--out", out],
+            ["fit", "--kind", "block_size", "--data", d, "--out", out, "--seed", seed, "--n-fit", n_fit],
+            ["predict", "--model", m, "--data", d, "--out", out],
+            ["evaluate", "--model", m, "--data", d],
+            ["compare", "--data", d, "--seed", seed, "--n-fit", n_fit, "--baseline-gervais"],
+            ["correlate", "--data", d],
+            ["composition", "--data", d],
+        ):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            err = stderr.getvalue()
+            error_lines = [line for line in err.splitlines() if "error: " in line]  # argparse prefixes the prog
+            assert code in range(5), (argv, err)
+            assert "Traceback" not in err
+            assert len(error_lines) == (code != 0), (argv, err)
