@@ -155,7 +155,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    from .experiment import SplitPlan, split
     from .fit import ols_fit
     from .ingest import read_dataset
     from .models import ModelKind, save_model
@@ -164,6 +163,8 @@ def _cmd_fit(args) -> int:
         raise _UsageError("--seed and --n-fit must be given together")
     ds = read_dataset(args.data)
     if args.seed is not None:
+        from .experiment import SplitPlan, split
+
         plan = SplitPlan(seed=args.seed, n_fit=args.n_fit, n_predict=len(ds) - args.n_fit)
         train, _ = split(ds, plan)
     else:

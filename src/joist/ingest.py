@@ -5,7 +5,7 @@ pulls per-block transaction features from a node, while measured verification
 times enter only through dataset files. Times are stored as integer
 microseconds so golden files round-trip without float drift.
 
-Dataset CSV format (UTF-8, LF line endings, no quoting):
+Dataset CSV format (UTF-8, no quoting; CRLF and CR line ends read as LF):
 
     height,size_bytes,n_transparent_in,n_transparent_out,n_spend,n_output,n_joinsplit,verify_time_us
 
@@ -46,6 +46,8 @@ _DECODED_TX_VERBOSITY = 2
 # A dataset CSV field: plain ASCII digits with an optional minus sign, which
 # parses so that a negative value is named by the rule it breaks.
 _FIELD = re.compile(r"-?[0-9]+")
+# A dataset row of eight fields of at most 18 digits, which always fit int64.
+_ROW = re.compile(rb"-?[0-9]{1,18}," * 7 + rb"-?[0-9]{1,18}")
 _INT64 = np.iinfo(np.int64)
 # Most digits an int64 has, after its sign and leading zeros.
 _INT64_DIGITS = len(str(_INT64.max))
@@ -140,6 +142,10 @@ def _block_row(block: Mapping, height: int) -> list[int]:
         raise ParseError(f'block {height}: missing integer field "size"')
     if size > _INT64.max:
         raise ParseError(f"block {height}: size {size} does not fit the dataset format's int64")
+    i = next((i for i, tx in enumerate(txs) if not isinstance(tx, Mapping)), None)
+    if i is not None:
+        verbosity = f"getblock must return decoded transactions (verbosity {_DECODED_TX_VERBOSITY})"
+        raise ParseError(f"block {height}: transaction {i} is not an object; {verbosity}")
     try:
         counts = [sum(c) for c in zip(*map(extract_tx_features, txs))]
     except (ParseError, IntegrityError) as exc:
@@ -211,11 +217,10 @@ def write_features_csv(columns: Mapping[str, np.ndarray], path: str | Path) -> N
 
 
 def read_dataset(path: str | Path) -> Dataset:
-    """Read and validate a dataset CSV.
+    """Read and validate a dataset CSV; CRLF and CR line ends are read as LF.
 
-    A well-formed file is parsed as a whole by numpy. Any file that is not,
-    or whose values break an invariant, is re-read row by row, so the error
-    names the offending line.
+    An error names the first bad line in file order: a value error on an
+    earlier line is named before a format error on a later one.
 
     Raises:
         FormatError: wrong header, invalid UTF-8, or a field that is not a
@@ -224,69 +229,58 @@ def read_dataset(path: str | Path) -> Dataset:
             non-positive times or sizes, or no rows at all.
     """
     raw = Path(path).read_bytes()
-    columns = _fast_columns(raw)
-    if columns is not None:
+    if not raw.isascii():
         try:
-            return _dataset(columns, path)
-        except IntegrityError:
-            pass
-    return _dataset(_row_columns(raw, path), path)
-
-
-def _dataset(columns: dict[str, np.ndarray], path) -> Dataset:
-    if len(columns["height"]) == 0:
-        raise IntegrityError(f"{path}: dataset file has no rows")
-    return Dataset.from_columns(columns)
-
-
-def _fast_columns(raw: bytes) -> dict[str, np.ndarray] | None:
-    """Columns of a file of plain digits, commas and LFs, or None to use the row reader.
-
-    numpy rejects empty fields, ragged rows and values outside int64, and
-    skips blank lines as the row reader does.
-    """
-    header = CSV_HEADER.encode() + b"\n"
-    body = raw[len(header):]
-    if not raw.startswith(header) or body.translate(None, b"0123456789,\n"):
-        return None
-    if not body.strip(b"\n"):
-        return {c: np.empty(0, dtype=np.int64) for c in COLUMNS}
-    try:
-        table = np.loadtxt(io.BytesIO(body), dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return dict(zip(COLUMNS, table.T)) if table.shape[1] == len(COLUMNS) else None
-
-
-def _row_columns(raw: bytes, path) -> dict[str, np.ndarray]:
-    """Parse the file one row at a time and check its values, naming the first bad line."""
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not valid UTF-8: {exc}") from exc
-    # Line ends as text-mode reading gives them: CRLF and CR count as LF.
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if lines[0] != CSV_HEADER:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not valid UTF-8: {exc}") from exc
+    if b"\r" in raw:  # line ends as text-mode reading gives them: CRLF and CR count as LF
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    head, _, body = raw.partition(b"\n")
+    del raw  # the body is the one copy of the file kept
+    if head != CSV_HEADER.encode():
         raise FormatError(f'{path}: bad header; expected "{CSV_HEADER}"')
-    rows, linenos = [], []
-    try:
-        for lineno, line in enumerate(lines[1:], start=2):
-            if line == "":
-                continue
-            parts = line.split(",")
-            if len(parts) != len(COLUMNS):
-                raise FormatError(f"{path}:{lineno}: expected {len(COLUMNS)} fields, got {len(parts)}")
-            rows.append([_parse_field(part, f"{path}:{lineno}") for part in parts])
-            linenos.append(lineno)
-    except FormatError:
-        _checked_columns(rows, linenos, path)  # a bad value on an earlier line is named first
-        raise
-    return _checked_columns(rows, linenos, path)
+    columns = None
+    if not body.translate(None, b"0123456789,\n"):
+        try:
+            columns = _loadtxt(body)
+            return Dataset.from_columns(columns)
+        except (ValueError, IntegrityError):
+            pass  # numpy refused a line, or a value breaks a rule: name the line
+    return Dataset.from_columns(_line_columns(body, path, columns))
 
 
-def _checked_columns(rows: list[list[int]], linenos: list[int], path) -> dict[str, np.ndarray]:
-    table = np.array(rows, dtype=np.int64).reshape(-1, len(COLUMNS))
-    columns = dict(zip(COLUMNS, table.T))
+def _loadtxt(text: bytes) -> dict[str, np.ndarray]:
+    """Columns of LF-separated rows; numpy skips blank lines and refuses a bad or ragged row."""
+    if not text.lstrip(b"\n"):  # numpy warns on an input with no rows
+        return {c: np.empty(0, dtype=np.int64) for c in COLUMNS}
+    table = np.loadtxt(io.BytesIO(text), [(c, np.int64) for c in COLUMNS], delimiter=",", comments=None, ndmin=1)
+    return {c: table[c] for c in COLUMNS}
+
+
+def _line_columns(body: bytes, path, columns: dict[str, np.ndarray] | None) -> dict[str, np.ndarray]:
+    """The body's columns, checked, or the error of its first bad line.
+
+    Unless numpy parsed *columns* from the whole body, only the lines that
+    _ROW rejects are parsed field by field; the first that fails is the bad
+    line, and the lines before it are read and checked before it is named.
+    """
+    lines = body.split(b"\n")
+    error = None
+    if columns is None:
+        for k, line in enumerate(lines):
+            if line and not _ROW.fullmatch(line):
+                where, parts = f"{path}:{k + 2}", line.decode().split(",")
+                try:
+                    if len(parts) != len(COLUMNS):
+                        raise FormatError(f"{where}: expected {len(COLUMNS)} fields, got {len(parts)}")
+                    for part in parts:
+                        _parse_field(part, where)
+                except FormatError as exc:
+                    error, lines = exc, lines[:k]
+                    break
+        columns = _loadtxt(b"\n".join(lines))
+    linenos = np.flatnonzero(np.fromiter(map(len, lines), np.int64, len(lines))) + 2
     violation = first_violation(columns)
     if violation is not None:
         i, message = violation
@@ -300,16 +294,18 @@ def _checked_columns(rows: list[list[int]], linenos: list[int], path) -> dict[st
         h = columns["height"][i]
         k = linenos[order[np.searchsorted(heights, h)]]
         raise IntegrityError(f"{path}:{linenos[i]}: duplicate height {h} (first on line {k})")
+    if error is not None:
+        raise error
+    if not linenos.size:
+        raise IntegrityError(f"{path}: dataset file has no rows")
     return columns
 
 
-def _parse_field(part: str, where: str) -> int:
-    if _FIELD.fullmatch(part):
-        # The value's digits, counted before int() sees them: it refuses over 4,300.
-        digits = part.lstrip("-0") or "0"
-        if len(digits) <= _INT64_DIGITS:
-            value = -int(digits) if part[0] == "-" else int(digits)
-            if _INT64.min <= value <= _INT64.max:
-                return value
+def _parse_field(part: str, where: str) -> None:
+    if not _FIELD.fullmatch(part):
+        raise FormatError(f"{where}: field {part!r} is not plain base-10 digits")
+    # The value's digits, counted before int() sees them: it refuses over 4,300.
+    digits = part.lstrip("-0") or "0"
+    value = int(digits) if len(digits) <= _INT64_DIGITS else math.inf
+    if not _INT64.min <= (-value if part[0] == "-" else value) <= _INT64.max:
         raise FormatError(f"{where}: field {part} is outside the int64 range")
-    raise FormatError(f"{where}: field {part!r} is not plain base-10 digits")

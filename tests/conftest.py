@@ -1,21 +1,24 @@
-"""Shared test material: reference parameter sets, naive statistics oracles,
-dataset builders, and a local JSON-RPC node stand-in."""
+"""Shared test material: reference parameter sets, the reference row reader,
+naive statistics oracles, dataset builders, and a local JSON-RPC node stand-in."""
 
 from __future__ import annotations
 
 import base64
 import json
 import math
+import re
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Mapping
 
+import numpy as np
 import pytest
 
-from joist import Dataset, ModelKind, ModelSpec, SynthSpec, predict
-from joist.features import COLUMNS, FEATURE_COLUMNS
+from joist import Dataset, FormatError, IntegrityError, ModelKind, ModelSpec, SynthSpec, predict
+from joist.features import COLUMNS, FEATURE_COLUMNS, first_violation
+from joist.ingest import CSV_HEADER
 from joist.models import PREDICTORS
 from joist.output import TEMP_SUFFIX
 
@@ -211,6 +214,81 @@ def next_gaussian(rng) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Row reader: the whole file one row at a time, eight field parses per row.
+# The reference that ``joist.ingest.read_dataset`` is checked against.
+# ---------------------------------------------------------------------------
+
+_FIELD = re.compile(r"-?[0-9]+")
+_INT64 = np.iinfo(np.int64)
+_INT64_DIGITS = len(str(_INT64.max))
+
+
+def reference_read_dataset(raw: bytes, path) -> Dataset:
+    """The dataset in the file bytes *raw*, or the error that names its first bad line."""
+    columns = _row_columns(raw, path)
+    if len(columns["height"]) == 0:
+        raise IntegrityError(f"{path}: dataset file has no rows")
+    return Dataset.from_columns(columns)
+
+
+def _row_columns(raw: bytes, path) -> dict[str, np.ndarray]:
+    """Parse the file one row at a time and check its values, naming the first bad line."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8: {exc}") from exc
+    # Line ends as text-mode reading gives them: CRLF and CR count as LF.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[0] != CSV_HEADER:
+        raise FormatError(f'{path}: bad header; expected "{CSV_HEADER}"')
+    rows, linenos = [], []
+    try:
+        for lineno, line in enumerate(lines[1:], start=2):
+            if line == "":
+                continue
+            parts = line.split(",")
+            if len(parts) != len(COLUMNS):
+                raise FormatError(f"{path}:{lineno}: expected {len(COLUMNS)} fields, got {len(parts)}")
+            rows.append([_parse_field(part, f"{path}:{lineno}") for part in parts])
+            linenos.append(lineno)
+    except FormatError:
+        _checked_columns(rows, linenos, path)  # a bad value on an earlier line is named first
+        raise
+    return _checked_columns(rows, linenos, path)
+
+
+def _checked_columns(rows: list[list[int]], linenos: list[int], path) -> dict[str, np.ndarray]:
+    table = np.array(rows, dtype=np.int64).reshape(-1, len(COLUMNS))
+    columns = dict(zip(COLUMNS, table.T))
+    violation = first_violation(columns)
+    if violation is not None:
+        i, message = violation
+        raise IntegrityError(f"{path}:{linenos[i]}: {message}")
+    # A stable sort keeps equal heights in file order: each repeat follows its first line.
+    order = np.argsort(columns["height"], kind="stable")
+    heights = columns["height"][order]
+    repeats = np.flatnonzero(heights[1:] == heights[:-1]) + 1
+    if repeats.size:
+        i = int(order[repeats].min())
+        h = columns["height"][i]
+        k = linenos[order[np.searchsorted(heights, h)]]
+        raise IntegrityError(f"{path}:{linenos[i]}: duplicate height {h} (first on line {k})")
+    return columns
+
+
+def _parse_field(part: str, where: str) -> int:
+    if _FIELD.fullmatch(part):
+        # The value's digits, counted before int() sees them: it refuses over 4,300.
+        digits = part.lstrip("-0") or "0"
+        if len(digits) <= _INT64_DIGITS:
+            value = -int(digits) if part[0] == "-" else int(digits)
+            if _INT64.min <= value <= _INT64.max:
+                return value
+        raise FormatError(f"{where}: field {part} is outside the int64 range")
+    raise FormatError(f"{where}: field {part!r} is not plain base-10 digits")
+
+
+# ---------------------------------------------------------------------------
 # Naive statistics oracles: single-pass plain-Python reimplementations,
 # independent of the fsum-based two-pass code under test.
 # ---------------------------------------------------------------------------
@@ -293,6 +371,8 @@ DEEP_NESTING_HEIGHT = 110
 ZERO_SIZE_HEIGHT = 107
 NEGATIVE_SIZE_HEIGHT = 108
 COINBASE_WITH_INPUT_HEIGHT = 109
+# A block as getblock returns it at verbosity 1: its second transaction is a txid, not an object.
+TXID_ENTRY_HEIGHT = 111
 
 # height -> block record; 103 deliberately lacks its "size" field.
 TEST_CHAIN = {
@@ -306,6 +386,7 @@ TEST_CHAIN = {
         "size": 285,
         "tx": [{"vin": [{"coinbase": "04deadbeef"}, {"txid": "t00", "vout": 0}], "vout": [{"n": 0}]}],
     },
+    TXID_ENTRY_HEIGHT: {"size": 100, "tx": [_coinbase_tx(), "00cd"]},
 }
 
 # Expected model-relevant counts per height, mirroring TEST_CHAIN by hand.

@@ -22,6 +22,7 @@ from conftest import (
     RPC_PASS,
     RPC_USER,
     STRING_ERROR_HEIGHT,
+    TXID_ENTRY_HEIGHT,
     ZERO_SIZE_HEIGHT,
     make_dataset,
 )
@@ -453,13 +454,14 @@ def test_fetch_unknown_height_is_data_error(monkeypatch, tmp_path, rpc_server, c
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("height", [ZERO_SIZE_HEIGHT, COINBASE_WITH_INPUT_HEIGHT])
+@pytest.mark.parametrize("height", [ZERO_SIZE_HEIGHT, COINBASE_WITH_INPUT_HEIGHT, TXID_ENTRY_HEIGHT])
 def test_fetch_invalid_block_record_is_data_error_naming_the_block(monkeypatch, tmp_path, rpc_server, capsys, height):
     _set_rpc_env(monkeypatch, rpc_server)
     out = tmp_path / "f.csv"
     code = main(["fetch", "--from", str(height), "--to", str(height), "--out", str(out)])
     assert code == 2
-    assert f"error: block {height}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: block {height}: ") and err.count("\n") == 1, err
     assert not out.exists()
 
 
@@ -516,8 +518,13 @@ _HTTP_STACK = {"requests", "urllib.request", "http.client", "concurrent.futures"
             0,
             {"joist.experiment", "joist.fit", "joist.rng"},
         ),
+        (
+            "import joist.cli; code = joist.cli.main(['fit', '--kind', 'block_size', '--data', DATA, '--out', MODEL])",
+            0,
+            {"joist.experiment", "joist.rng", "joist.stats"},
+        ),
     ],
-    ids=["import-joist", "import-cli", "help", "usage-error", "evaluate"],
+    ids=["import-joist", "import-cli", "help", "usage-error", "evaluate", "fit"],
 )
 def test_cli_import_loads_no_http_stack(tmp_path, statement, exit_code, absent):
     # The transport imports its HTTP modules and fetch its thread pool on first use,

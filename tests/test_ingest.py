@@ -9,6 +9,7 @@ from http.server import ThreadingHTTPServer
 import numpy as np
 import pytest
 
+import joist.ingest
 from joist import (
     FormatError,
     HeightRangeError,
@@ -34,6 +35,7 @@ from conftest import (
     STRING_ERROR_HEIGHT,
     TRUNCATED_HEIGHT,
     TEST_CHAIN_EXPECTED,
+    TXID_ENTRY_HEIGHT,
     ZERO_SIZE_HEIGHT,
     _RpcHandler,
     make_dataset,
@@ -239,6 +241,26 @@ def test_read_accepts_other_line_layouts(tmp_path, body):
     assert read_dataset(path) == make_dataset(_ROWS[:2])
 
 
+@pytest.mark.parametrize("how", ["crlf", "bad-last-field"])
+def test_invalid_files_are_parsed_field_by_field_only_at_the_bad_line(tmp_path, monkeypatch, how):
+    rows = [f"{h},{900 + h},{h % 3},{h % 4},{h % 2},{h % 5},{h % 3},{5000 + h}" for h in range(1, 5001)]
+    end = "\r\n" if how == "crlf" else "\n"
+    if how == "bad-last-field":
+        rows[-1] += "x"
+    path = tmp_path / "ds.csv"
+    path.write_bytes((end.join([CSV_HEADER, *rows]) + end).encode())
+    calls = []
+    parse = joist.ingest._parse_field
+    monkeypatch.setattr(joist.ingest, "_parse_field", lambda part, where: calls.append(where) or parse(part, where))
+    if how == "crlf":
+        assert len(read_dataset(path)) == 5000
+    else:
+        with pytest.raises(FormatError, match=r"ds.csv:5001: field '\d+x' is not plain base-10 digits$"):
+            read_dataset(path)
+    assert len(calls) <= 16
+    assert set(calls) <= {f"{path}:5001"}
+
+
 def test_write_features_csv_zero_fills_times(tmp_path):
     path = tmp_path / "features.csv"
     columns = {c: [0, 0] for c in COLUMNS[:-1]} | {"height": [102, 101], "size_bytes": [20, 10]}
@@ -338,6 +360,13 @@ def test_fetch_nonpositive_block_size_names_the_block(rpc_server, height, size):
 def test_fetch_coinbase_with_an_input_names_the_block(rpc_server):
     h = COINBASE_WITH_INPUT_HEIGHT
     with pytest.raises(IntegrityError, match=rf"^block {h}: a coinbase transaction has no countable"):
+        fetch_block_features(_endpoint(rpc_server), (h, h))
+
+
+def test_fetch_transaction_that_is_not_an_object_is_a_parse_error(rpc_server):
+    h = TXID_ENTRY_HEIGHT
+    message = rf"^block {h}: transaction 1 is not an object; getblock must return decoded transactions \(verbosity 2\)$"
+    with pytest.raises(ParseError, match=message):
         fetch_block_features(_endpoint(rpc_server), (h, h))
 
 
