@@ -12,6 +12,7 @@ import argparse
 import errno
 import json
 import os
+import re
 import sys
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -40,6 +41,14 @@ class _UsageError(Exception):
     pass
 
 
+def _shortened(message: str) -> str:
+    """*message* with each run of more than 40 digits, or of one character (deep JSON
+    nesting, say), cut to its first 20 characters, "...", and its length."""
+    return re.sub(
+        r"[0-9]{41,}|(.)\1{40,}", lambda m: f"{m[0][:20]}...({len(m[0])} {'characters' if m[1] else 'digits'})", message
+    )
+
+
 # The exit code of an error: the first entry whose type it is an instance of.
 _EXIT_CODES = (
     (_UsageError, EXIT_USAGE),
@@ -53,7 +62,7 @@ class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; this tool reserves 2 for data errors.
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"{self.prog}: error: {_shortened(message)}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
     # argparse drops an OSError from writing help and falls back to stderr for a
@@ -165,8 +174,7 @@ def _cmd_fit(args) -> int:
     if args.seed is not None:
         from .experiment import SplitPlan, split
 
-        plan = SplitPlan(seed=args.seed, n_fit=args.n_fit, n_predict=len(ds) - args.n_fit)
-        train, _ = split(ds, plan)
+        train, _ = split(ds, SplitPlan(seed=args.seed, n_fit=args.n_fit))
     else:
         train = ds
     result = ols_fit(ModelKind(args.kind), train)
@@ -213,7 +221,7 @@ def _cmd_compare(args) -> int:
     from .models import GERVAIS_BASELINE, ModelKind
 
     ds = read_dataset(args.data)
-    plan = SplitPlan(seed=args.seed, n_fit=args.n_fit, n_predict=len(ds) - args.n_fit)
+    plan = SplitPlan(seed=args.seed, n_fit=args.n_fit)
     baselines = (GERVAIS_BASELINE,) if args.baseline_gervais else ()
     rows = run_comparison(
         ds, plan, kinds=(ModelKind.JOIST, ModelKind.BLOCK_SIZE), baselines=baselines
@@ -333,7 +341,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:  # the reader of a pipe is gone: exit as SIGPIPE would
         return EXIT_BROKEN_PIPE
     except (_UsageError, JoistError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_shortened(str(exc))}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

@@ -1,9 +1,9 @@
 """Experiment pipelines: splits, model comparison, correlation and composition
 tables, synthetic ground-truth datasets, and plot-data emission.
 
-All randomness is owned by explicit SplitMix64 generators seeded per
-operation; nothing reads ambient RNG state, so every pipeline is reproducible
-from its inputs alone.
+All randomness is drawn from SplitMix64 streams seeded per operation; nothing
+reads ambient RNG state, so every pipeline is reproducible from its inputs
+alone.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .features import COUNT_COLUMNS, FEATURE_COLUMNS, Dataset
 from .fit import ols_fit
 from .models import PREDICTORS, ModelKind, ModelSpec, n_predictors, predict
 from .output import _atomic_write, _csv_chunks
-from .rng import SplitMix64, gaussians, shuffled_indices
+from .rng import gaussians, splitmix64
 from .stats import EvalReport, centred, correlation, evaluate, exact_sum, require_finite
 
 _MAX_SEED = (1 << 64) - 1
@@ -44,33 +44,36 @@ COMPARISON_CSV_HEADER = (
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """A seeded fit/predict partition of a dataset."""
+    """A seeded fit/predict partition: *n_fit* rows to fit on, the rest to predict."""
 
     seed: int
     n_fit: int
-    n_predict: int
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed <= _MAX_SEED:
             raise IntegrityError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.n_fit < 1 or self.n_predict < 1:
+        if self.n_fit < 1:
             raise IntegrityError("n_fit and n_predict must both be >= 1")
 
 
 def split(ds: Dataset, plan: SplitPlan) -> tuple[Dataset, Dataset]:
-    """Partition *ds* uniformly at random into (fit_set, predict_set).
+    """Partition *ds* uniformly at random into (fit_set, predict_set), each in height order.
 
-    The partition depends only on (plan.seed, len(ds)): sample indices are
-    shuffled by Fisher-Yates driven by SplitMix64(seed), the first
-    ``plan.n_fit`` shuffled indices form the fit set, and both sides are
-    re-sorted by height. Disjoint and jointly exhaustive by construction.
+    The partition depends only on (plan.seed, len(ds), plan.n_fit): the row indices are
+    shuffled by Fisher-Yates on the SplitMix64 draws for the seed (see :mod:`joist.rng`) and
+    the first ``plan.n_fit`` form the fit set. IntegrityError if none are left to predict.
     """
-    if len(ds) != plan.n_fit + plan.n_predict:
-        raise ShapeError(
-            f"dataset has {len(ds)} samples but plan wants {plan.n_fit} + {plan.n_predict}"
-        )
-    order = np.array(shuffled_indices(len(ds), SplitMix64(plan.seed)), dtype=np.intp)
-    return ds.take(np.sort(order[: plan.n_fit])), ds.take(np.sort(order[plan.n_fit :]))
+    n, n_fit = len(ds), plan.n_fit
+    if n_fit >= n:
+        raise IntegrityError("n_fit and n_predict must both be >= 1")
+    # Steps below n_fit only reorder the fit set, so steps n-1 ... n_fit fix the predict set.
+    order = list(range(n))
+    partners = splitmix64(plan.seed, n - n_fit) % np.arange(n, n_fit, -1, dtype=np.uint64)
+    for i, j in zip(range(n - 1, n_fit - 1, -1), partners.tolist()):
+        order[i], order[j] = order[j], order[i]
+    in_fit = np.zeros(n, dtype=bool)
+    in_fit[order[:n_fit]] = True
+    return ds.take(np.flatnonzero(in_fit)), ds.take(np.flatnonzero(~in_fit))
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ def run_comparison(
     per model, in the order given (fitted kinds first).
     """
     fit_set, predict_set = split(ds, plan)
-    label = f"{plan.n_fit}/{plan.n_predict}"
+    label = f"{plan.n_fit}/{len(ds) - plan.n_fit}"
     t = predict_set.verify_time_us
     models = chain((ols_fit(kind, fit_set).model for kind in kinds), baselines)
     return [
@@ -266,7 +269,7 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     # Eight raw draws per block, in the documented order. numpy refuses a
     # buffer beyond its size limit or the address space before touching memory.
     try:
-        draws = SplitMix64(spec.seed).next_block(8 * spec.n_blocks).reshape(spec.n_blocks, 8)
+        draws = splitmix64(spec.seed, 8 * spec.n_blocks).reshape(spec.n_blocks, 8)
     except (ValueError, MemoryError) as exc:
         raise SynthSpecError(f"n_blocks {spec.n_blocks} is too large to draw: {exc}") from exc
     counts = {

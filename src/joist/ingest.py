@@ -46,11 +46,15 @@ _DECODED_TX_VERBOSITY = 2
 # A dataset CSV field: plain ASCII digits with an optional minus sign, which
 # parses so that a negative value is named by the rule it breaks.
 _FIELD = re.compile(r"-?[0-9]+")
-# A dataset row of eight fields of at most 18 digits, which always fit int64.
-_ROW = re.compile(rb"-?[0-9]{1,18}," * 7 + rb"-?[0-9]{1,18}")
+# A dataset row of eight fields below 9 * 10**18, which fit int64, with any leading zeros;
+# each field matches in one way only, so a bad line cannot make the match backtrack without end.
+_ROW = re.compile(rb",".join([rb"-?0*(?:[1-9][0-9]{0,17}|[1-8][0-9]{18}|0)"] * 8))
 _INT64 = np.iinfo(np.int64)
 # Most digits an int64 has, after its sign and leading zeros.
 _INT64_DIGITS = len(str(_INT64.max))
+
+# Longest reply body a request reads: the JSON of a 2 MB block is about 5 MB.
+_MAX_REPLY_BYTES = 64 << 20
 
 # Most concurrent requests a fetch makes: far above what a node's few RPC
 # threads serve, and low enough that no value starts unbounded threads.
@@ -105,7 +109,10 @@ def _rpc_call(endpoint: RpcEndpoint, method: str, params: list):
         except urllib.error.HTTPError as exc:
             response = exc  # an HTTP error status still carries the node's reply
         with response:
-            status, raw = response.status, response.read()
+            status, raw = response.status, response.read(_MAX_REPLY_BYTES + 1)
+            if len(raw) > _MAX_REPLY_BYTES:
+                raise RpcConnectionError(f"reply from {url} is longer than the {_MAX_REPLY_BYTES}-byte limit")
+            response.read()  # raises IncompleteRead if the body was cut short
     except (OSError, ValueError, http.client.HTTPException) as exc:
         raise RpcConnectionError(f"cannot reach node at {url}: {exc}") from exc
     if status in (401, 403):

@@ -1,8 +1,8 @@
-"""SplitMix64 generator and the derived draws used for reproducible experiments.
+"""SplitMix64 draws and the values derived from them for reproducible experiments.
 
-Everything random in this package flows through this generator so that splits
-and synthetic datasets are bit-reproducible from a single 64-bit seed, on any
-platform. The derivations from blocks of raw draws are pinned exactly:
+Everything random in this package comes from SplitMix64 streams, so that
+splits and synthetic datasets are bit-reproducible from a single 64-bit seed,
+on any platform. The derivations from blocks of raw draws are pinned exactly:
 
 * bounded ints reduce ``draw % n`` (bias is irrelevant at our ranges,
   reproducibility is not),
@@ -13,11 +13,10 @@ platform. The derivations from blocks of raw draws are pinned exactly:
 
 SplitMix64 is counter-based (Steele, Lea & Flood, "Fast Splittable
 Pseudorandom Number Generators", OOPSLA 2014): the state only ever advances by
-the constant gamma, so the k-th output after state ``s`` is
+the constant gamma, so the k-th output (from 1) for seed ``s`` is
 ``mix(s + k * gamma mod 2**64)``, independent of every other output.
-:meth:`SplitMix64.next_block`, the generator's only output method, uses that
-to draw a whole block of outputs as one numpy computation, bit-identical to
-the same number of steps of the scalar generator in the paper.
+:func:`splitmix64` uses that to compute the first n outputs as one numpy
+computation, bit-identical to n steps of the scalar generator in the paper.
 """
 
 from __future__ import annotations
@@ -32,31 +31,22 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-class SplitMix64:
-    """The SplitMix64 pseudorandom generator (64-bit state, 64-bit output)."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int):
-        if not 0 <= seed <= _MASK64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-        self._state = seed
-
-    def next_block(self, n: int) -> np.ndarray:
-        """The next *n* outputs as a uint64 array."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        # uint64 array arithmetic wraps modulo 2**64, as the generator requires.
-        z = np.arange(1, n + 1, dtype=np.uint64)
-        z *= np.uint64(_GOLDEN)
-        z += np.uint64(self._state)
-        self._state = (self._state + n * _GOLDEN) & _MASK64
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-        return z
+def splitmix64(seed: int, n: int) -> np.ndarray:
+    """The first *n* SplitMix64 outputs for *seed*, as a uint64 array."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    # uint64 array arithmetic wraps modulo 2**64, as the generator requires.
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def unit_floats(words: np.ndarray) -> np.ndarray:
@@ -74,15 +64,3 @@ def gaussians(words1: np.ndarray, words2: np.ndarray) -> np.ndarray:
     logs = np.fromiter(map(math.log, unit_floats(words1).tolist()), np.float64, len(words1))
     cosines = np.fromiter(map(math.cos, (2.0 * math.pi * unit_floats(words2)).tolist()), np.float64, len(words2))
     return np.sqrt(-2.0 * logs) * cosines
-
-
-def shuffled_indices(n: int, rng: SplitMix64) -> list[int]:
-    """Fisher-Yates permutation of range(n) driven by *rng*."""
-    indices = list(range(n))
-    # The swap partner of i (from n-1 down to 1) is draw % (i + 1); the draws
-    # are independent of the swaps, so they come as one block.
-    bounds = np.arange(n, 1, -1, dtype=np.uint64)
-    partners = (rng.next_block(len(bounds)) % bounds).tolist()
-    for i, j in zip(range(n - 1, 0, -1), partners):
-        indices[i], indices[j] = indices[j], indices[i]
-    return indices

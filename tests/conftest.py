@@ -174,7 +174,7 @@ _MASK64 = (1 << 64) - 1
 
 class ScalarSplitMix64:
     """SplitMix64 one output at a time, as Steele, Lea & Flood state it: the
-    reference that ``joist.rng.SplitMix64.next_block`` is checked against."""
+    reference that ``joist.rng.splitmix64`` is checked against."""
 
     def __init__(self, seed: int):
         self.state = seed
@@ -211,6 +211,16 @@ def next_gaussian(rng) -> float:
     u1 = next_unit(rng)
     u2 = next_unit(rng)
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def scalar_shuffle(n: int, rng) -> list[int]:
+    """Fisher-Yates over range(n), all n - 1 steps, one scalar draw per swap:
+    the reference that ``joist.split`` is checked against."""
+    indices = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = next_below(rng, i + 1)
+        indices[i], indices[j] = indices[j], indices[i]
+    return indices
 
 
 # ---------------------------------------------------------------------------

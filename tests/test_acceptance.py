@@ -148,7 +148,7 @@ def test_criterion_3_ols_exact_recovery():
 
 
 def test_criterion_4_ols_statistical_recovery(noisy_15k):
-    plan = SplitPlan(seed=7, n_fit=5000, n_predict=10000)
+    plan = SplitPlan(seed=7, n_fit=5000)
     fit_set, predict_set = split(noisy_15k, plan)
     result = ols_fit(ModelKind.JOIST, fit_set)
     ses = result.standard_errors
@@ -165,7 +165,7 @@ def test_criterion_4_ols_statistical_recovery(noisy_15k):
 
 
 def test_criterion_5_methodology_ordering(noisy_15k):
-    plan = SplitPlan(seed=7, n_fit=5000, n_predict=10000)
+    plan = SplitPlan(seed=7, n_fit=5000)
     rows = run_comparison(
         noisy_15k,
         plan,
@@ -242,7 +242,7 @@ def test_criterion_7_determinism_and_round_trip(tmp_path):
     write_dataset(ds_b, path_b)
     checks.append(("synthetic files byte-identical", path_a.read_bytes() == path_b.read_bytes()))
 
-    plan = SplitPlan(seed=5, n_fit=2000, n_predict=8000)
+    plan = SplitPlan(seed=5, n_fit=2000)
     fit_a, _ = split(ds_a, plan)
     fit_b, _ = split(ds_b, plan)
     split_a, split_b = tmp_path / "split_a.csv", tmp_path / "split_b.csv"

@@ -4,12 +4,16 @@ addition or removal shows up as a one-line change here."""
 from __future__ import annotations
 
 import importlib
+import re
 import types
+from pathlib import Path
 
 import pytest
 
 import joist
-from joist import experiment, features, models, stats
+from joist import experiment, features, generate_synthetic, models, stats, write_dataset
+
+from conftest import default_synth_spec
 
 PUBLIC_NAMES = [
     "CSV_HEADER",
@@ -101,3 +105,15 @@ def test_single_statistic_api_is_gone(name):
 def test_fetch_record_types_are_gone(name):
     assert not hasattr(joist, name)
     assert not hasattr(features, name)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    example = re.search(r"```python\n(.*?)```", section, re.DOTALL)[1]
+    write_dataset(generate_synthetic(default_synth_spec(n_blocks=6000)), tmp_path / "data.csv")
+    monkeypatch.chdir(tmp_path)
+    names = {}
+    exec(example, names)
+    assert len(names["fit_set"]) == 5000
+    assert names["report"].n == 1000

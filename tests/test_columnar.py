@@ -30,7 +30,6 @@ from joist.experiment import CORRELATION_FEATURES
 from joist.features import COLUMNS, FEATURE_COLUMNS
 from joist.fit import design_matrix
 from joist.models import PREDICTORS
-from joist.rng import SplitMix64, shuffled_indices
 from joist.stats import centred, correlation
 
 from conftest import (
@@ -43,6 +42,7 @@ from conftest import (
     next_int,
     predictor_vector,
     rows,
+    scalar_shuffle,
 )
 
 _SYNTH_BYTES = {"joinsplit": 1802, "output": 948, "transparent_in": 150, "spend": 384}
@@ -129,8 +129,8 @@ def test_design_matrix_matches_per_row_predictor_vectors(noisy, kind):
 
 
 def test_split_matches_per_row_selection(noisy):
-    plan = SplitPlan(seed=17, n_fit=700, n_predict=1300)
-    order = shuffled_indices(len(noisy), SplitMix64(plan.seed))
+    plan = SplitPlan(seed=17, n_fit=700)
+    order = scalar_shuffle(len(noisy), ScalarSplitMix64(plan.seed))
     all_rows = rows(noisy)
     fit_set, predict_set = split(noisy, plan)
     assert fit_set == make_dataset([all_rows[i] for i in sorted(order[: plan.n_fit])])

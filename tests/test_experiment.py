@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from joist import (
     GERVAIS_BASELINE,
@@ -10,7 +12,6 @@ from joist import (
     ModelKind,
     ModelSpec,
     RankDeficiencyError,
-    ShapeError,
     SplitPlan,
     SynthSpec,
     SynthSpecError,
@@ -23,9 +24,8 @@ from joist import (
     write_dataset,
 )
 from joist.experiment import COMPARISON_CSV_HEADER, comparison_csv_lines
-from joist.rng import SplitMix64
 
-from conftest import ScalarSplitMix64, default_synth_spec, make_dataset, next_int
+from conftest import ScalarSplitMix64, default_synth_spec, make_dataset, next_int, scalar_shuffle
 
 
 # -- split -----------------------------------------------------------------
@@ -36,7 +36,7 @@ def ds_15k():
 
 
 def test_split_partitions_exactly(ds_15k):
-    plan = SplitPlan(seed=1, n_fit=5000, n_predict=10000)
+    plan = SplitPlan(seed=1, n_fit=5000)
     fit_set, predict_set = split(ds_15k, plan)
     assert len(fit_set) == 5000 and len(predict_set) == 10000
     fit_heights = set(fit_set.height.tolist())
@@ -48,37 +48,52 @@ def test_split_partitions_exactly(ds_15k):
 
 
 def test_split_is_deterministic(ds_15k):
-    plan = SplitPlan(seed=1, n_fit=5000, n_predict=10000)
+    plan = SplitPlan(seed=1, n_fit=5000)
     first = split(ds_15k, plan)
     second = split(ds_15k, plan)
     assert first == second
 
 
 def test_split_seed_changes_partition(ds_15k):
-    fit_a, _ = split(ds_15k, SplitPlan(seed=1, n_fit=5000, n_predict=10000))
-    fit_b, _ = split(ds_15k, SplitPlan(seed=2, n_fit=5000, n_predict=10000))
+    fit_a, _ = split(ds_15k, SplitPlan(seed=1, n_fit=5000))
+    fit_b, _ = split(ds_15k, SplitPlan(seed=2, n_fit=5000))
     assert fit_a.height.tolist() != fit_b.height.tolist()
 
 
-def test_split_size_mismatch_is_shape_error(ds_15k):
-    with pytest.raises(ShapeError):
-        split(ds_15k, SplitPlan(seed=1, n_fit=5000, n_predict=9999))
+@settings(deadline=None, max_examples=200)
+@given(
+    n=st.integers(1, 200) | st.sampled_from([1000, 4097]),
+    seed=st.integers(0, 2**64 - 1) | st.sampled_from([0, 1, 7, 2**64 - 1]),
+    data=st.data(),
+)
+def test_split_matches_the_scalar_fisher_yates_reference(n, seed, data):
+    n_fit = data.draw(st.integers(1, n + 1), label="n_fit")
+    ds = make_dataset([(h, 1, 0, 0, 0, 0, 0, 1) for h in range(n)])
+    plan = SplitPlan(seed=seed, n_fit=n_fit)
+    if n_fit >= n:
+        with pytest.raises(IntegrityError, match="^n_fit and n_predict must both be >= 1$"):
+            split(ds, plan)
+        return
+    order = scalar_shuffle(n, ScalarSplitMix64(seed))
+    fit_set, predict_set = split(ds, plan)
+    assert fit_set.height.tolist() == sorted(order[:n_fit])
+    assert predict_set.height.tolist() == sorted(order[n_fit:])
 
 
 def test_split_plan_invariants():
     with pytest.raises(IntegrityError):
-        SplitPlan(seed=1, n_fit=0, n_predict=10)
+        SplitPlan(seed=1, n_fit=0)
     with pytest.raises(IntegrityError):
-        SplitPlan(seed=-1, n_fit=1, n_predict=1)
+        SplitPlan(seed=-1, n_fit=1)
     with pytest.raises(IntegrityError):
-        SplitPlan(seed=1 << 64, n_fit=1, n_predict=1)
+        SplitPlan(seed=1 << 64, n_fit=1)
 
 
 # -- run_comparison -----------------------------------------------------------
 
 def test_comparison_on_exact_data_makes_joist_perfect():
     ds = generate_synthetic(default_synth_spec(n_blocks=3000, seed=5))
-    plan = SplitPlan(seed=11, n_fit=1000, n_predict=2000)
+    plan = SplitPlan(seed=11, n_fit=1000)
     rows = run_comparison(ds, plan, kinds=(ModelKind.JOIST, ModelKind.BLOCK_SIZE))
     by_kind = {row.model_kind: row.report for row in rows}
     joist_report = by_kind[ModelKind.JOIST]
@@ -92,7 +107,7 @@ def test_comparison_on_exact_data_makes_joist_perfect():
 
 
 def test_comparison_ranks_joist_above_size_models(ds_15k):
-    plan = SplitPlan(seed=3, n_fit=5000, n_predict=10000)
+    plan = SplitPlan(seed=3, n_fit=5000)
     rows = run_comparison(
         ds_15k,
         plan,
@@ -115,14 +130,14 @@ def test_comparison_baseline_only_runs_without_fitting():
     ds = make_dataset(
         [(h, 100 * h, h % 3, 0, 0, 0, 0, 40 * h + 5) for h in range(1, 11)]
     )
-    rows = run_comparison(ds, SplitPlan(seed=1, n_fit=5, n_predict=5), baselines=(GERVAIS_BASELINE,))
+    rows = run_comparison(ds, SplitPlan(seed=1, n_fit=5), baselines=(GERVAIS_BASELINE,))
     assert len(rows) == 1
     assert rows[0].model_kind is ModelKind.FIXED_RATE
     assert rows[0].split_label == "5/5"
 
 
 def test_comparison_csv_shape(ds_15k):
-    plan = SplitPlan(seed=3, n_fit=5000, n_predict=10000)
+    plan = SplitPlan(seed=3, n_fit=5000)
     rows = run_comparison(ds_15k, plan, kinds=(ModelKind.JOIST,))
     lines = comparison_csv_lines(rows)
     assert lines[0] == COMPARISON_CSV_HEADER

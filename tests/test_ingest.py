@@ -241,11 +241,13 @@ def test_read_accepts_other_line_layouts(tmp_path, body):
     assert read_dataset(path) == make_dataset(_ROWS[:2])
 
 
-@pytest.mark.parametrize("how", ["crlf", "bad-last-field"])
+@pytest.mark.parametrize("how", ["crlf", "bad-last-field", "zero-padded"])
 def test_invalid_files_are_parsed_field_by_field_only_at_the_bad_line(tmp_path, monkeypatch, how):
     rows = [f"{h},{900 + h},{h % 3},{h % 4},{h % 2},{h % 5},{h % 3},{5000 + h}" for h in range(1, 5001)]
     end = "\r\n" if how == "crlf" else "\n"
-    if how == "bad-last-field":
+    if how == "zero-padded":
+        rows = [",".join(field.zfill(25) for field in row.split(",")) for row in rows]
+    if how != "crlf":
         rows[-1] += "x"
     path = tmp_path / "ds.csv"
     path.write_bytes((end.join([CSV_HEADER, *rows]) + end).encode())
@@ -433,6 +435,12 @@ def test_fetch_truncated_body_is_connection_error(rpc_server):
 
 def test_fetch_deeply_nested_reply_is_connection_error(rpc_server):
     with pytest.raises(RpcConnectionError, match="non-JSON response .*HTTP 200"):
+        fetch_block_features(_endpoint(rpc_server), (DEEP_NESTING_HEIGHT, DEEP_NESTING_HEIGHT))
+
+
+def test_fetch_reply_longer_than_the_limit_is_connection_error(rpc_server, monkeypatch):
+    monkeypatch.setattr(joist.ingest, "_MAX_REPLY_BYTES", 100_000)  # the reply is 200,000 bytes
+    with pytest.raises(RpcConnectionError, match="longer than the 100000-byte limit"):
         fetch_block_features(_endpoint(rpc_server), (DEEP_NESTING_HEIGHT, DEEP_NESTING_HEIGHT))
 
 

@@ -64,7 +64,7 @@ def test_csv_write_read_round_trip(work, ds):
 # bounds, signs, leading zeros, empty and non-ASCII fields.
 _FIELDS = st.sampled_from(
     ["+5", " 5", "5 ", "1_000", "", "-0", "007", "0" * 25 + "1", "-1", "0", "0", "0", "1.5", "0x1f", "\u0663", "\xe9"]
-    + [str(v) for v in (INT64_MAX, INT64_MAX + 1, -(2**63), -(2**63) - 1, 10**20)]
+    + [str(v) for v in (INT64_MAX, INT64_MAX + 1, -(2**63), -(2**63) - 1, 10**20, 9 * 10**18 - 1)]
 )
 _EDIT_BYTES = st.sampled_from([*b"0123456789", *b",\n-+_ \r.ae", 0x00, 0xC3, 0xFF])
 
@@ -367,3 +367,4 @@ def test_every_file_reading_command_exits_with_one_error_line_at_most(model, spe
             assert code in range(5), (argv, err)
             assert "Traceback" not in err
             assert len(error_lines) == (code != 0), (argv, err)
+            assert max(map(len, err.splitlines()), default=0) <= 500, (argv, err[:1000])

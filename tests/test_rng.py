@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from joist.rng import SplitMix64, gaussians, shuffled_indices, unit_floats
+from joist.rng import gaussians, splitmix64, unit_floats
 
 from conftest import ScalarSplitMix64, next_below, next_gaussian, next_int, next_unit
 
@@ -21,26 +21,24 @@ _SEED0_VECTOR = [
 def test_matches_reference_vector():
     scalar = ScalarSplitMix64(0)
     assert [scalar.next_uint64() for _ in range(4)] == _SEED0_VECTOR
-    assert SplitMix64(0).next_block(4).tolist() == _SEED0_VECTOR
+    assert splitmix64(0, 4).tolist() == _SEED0_VECTOR
 
 
 def test_same_seed_same_stream():
-    a, b = SplitMix64(987654321), SplitMix64(987654321)
-    assert a.next_block(100).tolist() == b.next_block(100).tolist()
+    assert splitmix64(987654321, 100).tolist() == splitmix64(987654321, 100).tolist()
 
 
 def test_different_seeds_differ():
-    a, b = SplitMix64(1), SplitMix64(2)
-    assert a.next_block(10).tolist() != b.next_block(10).tolist()
+    assert splitmix64(1, 10).tolist() != splitmix64(2, 10).tolist()
 
 
 def test_seed_bounds():
-    SplitMix64(0)
-    SplitMix64((1 << 64) - 1)
+    splitmix64(0, 1)
+    splitmix64((1 << 64) - 1, 1)
     with pytest.raises(ValueError):
-        SplitMix64(-1)
+        splitmix64(-1, 1)
     with pytest.raises(ValueError):
-        SplitMix64(1 << 64)
+        splitmix64(1 << 64, 1)
 
 
 # The scalar draws are test-local references (conftest); these pin them.
@@ -79,7 +77,7 @@ def test_next_unit_in_half_open_interval():
 
 
 def test_gaussian_moments():
-    words = SplitMix64(17).next_block(40000).reshape(-1, 2)
+    words = splitmix64(17, 40000).reshape(-1, 2)
     draws = gaussians(words[:, 0], words[:, 1]).tolist()
     mean = sum(draws) / len(draws)
     var = sum((d - mean) ** 2 for d in draws) / len(draws)
@@ -87,64 +85,30 @@ def test_gaussian_moments():
     assert abs(math.sqrt(var) - 1.0) < 0.03
 
 
-def test_shuffled_indices_is_deterministic_permutation():
-    first = shuffled_indices(100, SplitMix64(5))
-    second = shuffled_indices(100, SplitMix64(5))
-    assert first == second
-    assert sorted(first) == list(range(100))
-    assert first != list(range(100))
-
-
-def test_shuffled_indices_trivial_sizes():
-    assert shuffled_indices(0, SplitMix64(1)) == []
-    assert shuffled_indices(1, SplitMix64(1)) == [0]
-
-
 # -- block draws against the scalar generator ---------------------------------
-
-def _scalar_shuffle(n, rng):
-    """The Fisher-Yates loop with one scalar draw per swap (the reference)."""
-    indices = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = next_below(rng, i + 1)
-        indices[i], indices[j] = indices[j], indices[i]
-    return indices
-
 
 def test_block_draws_match_scalar_draws_over_a_million_words():
     n = 1 << 20
     scalar = ScalarSplitMix64(0xDEADBEEF)
     expected = [scalar.next_uint64() for _ in range(n)]
-    assert SplitMix64(0xDEADBEEF).next_block(n).tolist() == expected
+    assert splitmix64(0xDEADBEEF, n).tolist() == expected
 
 
-def test_block_draws_continue_the_scalar_state():
-    # Interleave blocks of many sizes (including 0) with single draws,
-    # starting near the top of the state space so the counter wraps.
-    seed = (1 << 64) - 5
-    reference, mixed = ScalarSplitMix64(seed), SplitMix64(seed)
-    for size in (0, 1, 2, 3, 7, 64, 1000, 1, 0, 4097):
-        assert mixed.next_block(size).tolist() == [reference.next_uint64() for _ in range(size)]
-        assert mixed.next_block(1).tolist() == [reference.next_uint64()]
+def test_block_draws_match_scalar_draws_across_the_counter_wrap():
+    # Seeds near the top of the state space, so the counter wraps within the block.
+    for seed in ((1 << 64) - 5, (1 << 64) - 1):
+        for n in (0, 1, 2, 7, 4097):
+            reference = ScalarSplitMix64(seed)
+            assert splitmix64(seed, n).tolist() == [reference.next_uint64() for _ in range(n)]
 
 
 def test_block_draws_reject_negative_sizes():
     with pytest.raises(ValueError):
-        SplitMix64(1).next_block(-1)
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 1000])
-def test_shuffled_indices_match_the_scalar_loop(n):
-    rng, reference = SplitMix64(99), ScalarSplitMix64(99)
-    assert shuffled_indices(n, rng) == _scalar_shuffle(n, reference)
-    # Both leave the generator in the same state.
-    assert rng.next_block(1).tolist() == [reference.next_uint64()]
+        splitmix64(1, -1)
 
 
 def test_unit_and_gaussian_draws_match_the_scalar_formulas():
-    rng, reference = SplitMix64(4242), ScalarSplitMix64(4242)
-    units = unit_floats(rng.next_block(2000)).tolist()
-    assert units == [next_unit(reference) for _ in range(2000)]
-    words = rng.next_block(4000).reshape(-1, 2)
-    assert gaussians(words[:, 0], words[:, 1]).tolist() == [next_gaussian(reference) for _ in range(2000)]
-    assert rng.next_block(1).tolist() == [reference.next_uint64()]
+    words, reference = splitmix64(4242, 6000), ScalarSplitMix64(4242)
+    assert unit_floats(words[:2000]).tolist() == [next_unit(reference) for _ in range(2000)]
+    pairs = words[2000:].reshape(-1, 2)
+    assert gaussians(pairs[:, 0], pairs[:, 1]).tolist() == [next_gaussian(reference) for _ in range(2000)]
