@@ -348,5 +348,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INTERRUPTED
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The ``joist`` command: :func:`main` with OpenBLAS on one thread, then exit with its code.
+
+    A fit gains nothing from BLAS threads, an idle OpenBLAS worker spin-waits on a CPU the
+    interpreter needs, and a fixed count keeps large fits' bytes from depending on the machine.
+    OpenBLAS reads the variable once, when numpy loads, which no command has done yet.
+    """
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

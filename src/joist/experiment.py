@@ -67,12 +67,21 @@ def split(ds: Dataset, plan: SplitPlan) -> tuple[Dataset, Dataset]:
     if n_fit >= n:
         raise IntegrityError("n_fit and n_predict must both be >= 1")
     # Steps below n_fit only reorder the fit set, so steps n-1 ... n_fit fix the predict set.
-    order = list(range(n))
-    partners = splitmix64(plan.seed, n - n_fit) % np.arange(n, n_fit, -1, dtype=np.uint64)
-    for i, j in zip(range(n - 1, n_fit - 1, -1), partners.tolist()):
-        order[i], order[j] = order[j], order[i]
+    # Step k swaps positions k and j_k <= k. Let W[p] be the last step (the smallest k) with
+    # j_k == p != k. A position p < n_fit ends holding what position W[p] held just before
+    # step W[p], or p itself if W[p] is unset; and what position k held just before step k is,
+    # by the same rule, what W[k] brought it, or k. So each fit position's row is the end of
+    # the chain p -> W[p] -> W[W[p]] ..., which pointer doubling finds in a few array passes.
+    steps = np.arange(n - 1, n_fit - 1, -1)
+    partners = (splitmix64(plan.seed, n - n_fit) % np.arange(n, n_fit, -1, dtype=np.uint64)).astype(np.intp)
+    swaps = partners != steps
+    ptr = np.full(n, n)
+    np.minimum.at(ptr, partners[swaps], steps[swaps])
+    ptr = np.where(ptr == n, np.arange(n), ptr)
+    while not np.array_equal(doubled := ptr[ptr], ptr):
+        ptr = doubled
     in_fit = np.zeros(n, dtype=bool)
-    in_fit[order[:n_fit]] = True
+    in_fit[ptr[:n_fit]] = True
     return ds.take(np.flatnonzero(in_fit)), ds.take(np.flatnonzero(~in_fit))
 
 

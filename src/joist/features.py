@@ -119,8 +119,13 @@ class Dataset:
     @classmethod
     def from_columns(cls, columns: Mapping[str, ArrayLike]) -> "Dataset":
         """Build a dataset from columns with rows in any order (stably sorted by height here)."""
-        order = np.argsort(np.asarray(columns["height"]), kind="stable")
-        return cls({c: np.asarray(columns[c])[order] for c in COLUMNS})
+        heights = np.asarray(columns["height"])
+        if (heights[1:] > heights[:-1]).all():  # already in order, as in every file write_dataset makes
+            return cls(columns)
+        order = np.argsort(heights, kind="stable")
+        # A column of another shape is passed on unsorted, for __init__ to reject by name.
+        same = [c for c in COLUMNS if np.shape(columns[c]) == heights.shape]
+        return cls({**columns, **{c: np.asarray(columns[c])[order] for c in same}})
 
 
 def _column(name: str, values: ArrayLike, n: int) -> np.ndarray:

@@ -310,7 +310,8 @@ def _line_columns(body: bytes, path, columns: dict[str, np.ndarray] | None) -> d
 
 def _parse_field(part: str, where: str) -> None:
     if not _FIELD.fullmatch(part):
-        raise FormatError(f"{where}: field {part!r} is not plain base-10 digits")
+        shown = repr(part) if len(part) <= 20 else f"{part[:20]!r}...({len(part)} characters)"
+        raise FormatError(f"{where}: field {shown} is not plain base-10 digits")
     # The value's digits, counted before int() sees them: it refuses over 4,300.
     digits = part.lstrip("-0") or "0"
     value = int(digits) if len(digits) <= _INT64_DIGITS else math.inf

@@ -43,28 +43,33 @@ def _csv_chunks(header: str, columns: list[np.ndarray]) -> Iterator[bytes]:
     A column is non-negative int64, formatted as ``"%d"``, or float64, formatted as ``str()``.
     """
     yield (header + "\n").encode()
-    for start in range(0, len(columns[0]), CHUNK_ROWS):
-        yield _format_rows([c[start:start + CHUNK_ROWS] for c in columns])
-
-
-def _format_rows(columns: list[np.ndarray]) -> bytes:
-    # A float column's text: str() of each distinct bit pattern (so -0.0 is not 0.0), space-padded
-    # to whole pairs, as a (pairs, distinct values) table and each row's index into it.
-    floats = {}
+    if not len(columns[0]):
+        return
+    # A float column is formatted once, whole: str() of each distinct bit pattern (so -0.0 is
+    # not 0.0), space-padded to whole pairs, as a (pairs, distinct values) table. The column
+    # itself becomes each row's index into its table.
+    columns = list(columns)
+    tables = {}
     for i, c in enumerate(columns):
         if c.dtype == np.float64:
-            bits, index = np.unique(c.view(np.int64), return_inverse=True)
+            bits, columns[i] = np.unique(c.view(np.int64), return_inverse=True)
             strs = np.array([str(v) for v in bits.view(np.float64).tolist()], dtype="S")
             table = np.char.ljust(strs, strs.itemsize + strs.itemsize % 2)
-            floats[i] = table.view(np.uint16).reshape(len(table), -1).T, index
+            tables[i] = table.view(np.uint16).reshape(len(table), -1).T
+    for start in range(0, len(columns[0]), CHUNK_ROWS):
+        yield _format_rows([c[start:start + CHUNK_ROWS] for c in columns], tables)
+
+
+def _format_rows(columns: list[np.ndarray], tables: dict[int, np.ndarray]) -> bytes:
+    # columns[i] for i in tables holds indices into the float text table tables[i].
     # One row of `text` per digit pair or separator, one column per CSV row.
-    widths = [len(floats[i][0]) if i in floats else (len(str(int(c.max()))) + 1) // 2 for i, c in enumerate(columns)]
+    widths = [len(tables[i]) if i in tables else (len(str(int(c.max()))) + 1) // 2 for i, c in enumerate(columns)]
     text = np.empty((sum(widths) + len(columns), len(columns[0])), dtype=np.uint16)
     end = 0
     for i, (c, width) in enumerate(zip(columns, widths)):
         end += width
-        if i in floats:
-            np.take(*floats[i], axis=1, out=text[end - width:end])
+        if i in tables:
+            np.take(tables[i], c, axis=1, out=text[end - width:end])
         else:
             rest = c
             for slot in range(end - 1, end - width, -1):  # the pairs below the top one, last first

@@ -6,6 +6,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 import re
 import socket
 import threading
@@ -16,6 +17,7 @@ from typing import Mapping
 import numpy as np
 import pytest
 
+import joist
 from joist import Dataset, FormatError, IntegrityError, ModelKind, ModelSpec, SynthSpec, predict
 from joist.features import COLUMNS, FEATURE_COLUMNS, first_violation
 from joist.ingest import CSV_HEADER
@@ -164,6 +166,12 @@ def default_synth_spec(**overrides) -> SynthSpec:
     return SynthSpec(**params)
 
 
+def subprocess_env() -> dict[str, str]:
+    """The environment for a fresh interpreter that imports this checkout's joist."""
+    src = str(Path(joist.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 # ---------------------------------------------------------------------------
 # Scalar draws: one SplitMix64 output at a time, the reference for the block
 # draws in joist.rng and the per-row loops that use them.
@@ -295,7 +303,8 @@ def _parse_field(part: str, where: str) -> int:
             if _INT64.min <= value <= _INT64.max:
                 return value
         raise FormatError(f"{where}: field {part} is outside the int64 range")
-    raise FormatError(f"{where}: field {part!r} is not plain base-10 digits")
+    shown = repr(part) if len(part) <= 20 else f"{part[:20]!r}...({len(part)} characters)"
+    raise FormatError(f"{where}: field {shown} is not plain base-10 digits")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,8 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +23,7 @@ from conftest import (
     TXID_ENTRY_HEIGHT,
     ZERO_SIZE_HEIGHT,
     make_dataset,
+    subprocess_env,
 )
 from joist import write_dataset
 
@@ -495,12 +494,6 @@ def test_fetch_non_ascii_password_is_sent_as_utf8(monkeypatch, tmp_path, rpc_ser
     assert "authentication rejected" in capsys.readouterr().err
 
 
-def _subprocess_env():
-    """The environment for a fresh interpreter that imports this checkout's joist."""
-    src = str(Path(joist.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
 # Modules that only a command's own work needs: `import joist`, `--help` and a usage error load none.
 _COMMAND_MODULES = {"numpy", *(f"joist.{m}" for m in ("experiment", "features", "fit", "ingest", "models", "output", "rng", "stats"))}
 _HTTP_STACK = {"requests", "urllib.request", "http.client", "concurrent.futures", "logging"}
@@ -541,7 +534,7 @@ def test_cli_import_loads_no_http_stack(tmp_path, statement, exit_code, absent):
         "sys.exit(code)",
     ])
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", probe], env=subprocess_env(), capture_output=True, text=True, timeout=60
     )
     assert result.returncode == exit_code, result.stderr
     loaded = set(result.stderr.splitlines()[-1].split(","))
@@ -582,7 +575,7 @@ def test_unwritable_stdout_is_one_line_data_error(two_chunk_data, command, redir
     for unbuffered in ("1", ""):
         result = subprocess.run(
             ["sh", "-c", script, sys.executable, str(two_chunk_data)],
-            env=dict(_subprocess_env(), PYTHONUNBUFFERED=unbuffered), capture_output=True, text=True, timeout=60,
+            env=dict(subprocess_env(), PYTHONUNBUFFERED=unbuffered), capture_output=True, text=True, timeout=60,
         )
         assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
 
@@ -590,7 +583,7 @@ def test_unwritable_stdout_is_one_line_data_error(two_chunk_data, command, redir
 def test_reader_closing_the_pipe_exits_as_sigpipe(two_chunk_data):
     with subprocess.Popen(
         [sys.executable, "-m", "joist.cli", "composition", "--data", str(two_chunk_data)],
-        env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     ) as proc:
         assert proc.stdout.readline() == b"height,transparent_in,spend_output,joinsplit\n"
         proc.stdout.close()  # as `| head -1` does

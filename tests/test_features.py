@@ -146,6 +146,14 @@ def test_dataset_from_columns_sorts_by_height():
     assert len(ds) == 3
 
 
+@pytest.mark.parametrize("heights", [[1, 2], [2, 1]], ids=["sorted", "unsorted"])
+@pytest.mark.parametrize("sizes", [[900], [900, 901, 902]], ids=["shorter", "longer"])
+def test_dataset_from_columns_rejects_a_column_of_another_length(heights, sizes):
+    columns = {c: [v1, v2] for c, v1, v2 in zip(COLUMNS, _row(1), _row(2))} | {"height": heights, "size_bytes": sizes}
+    with pytest.raises(IntegrityError, match=rf"^column size_bytes has shape \({len(sizes)},\), expected \(2,\)$"):
+        Dataset.from_columns(columns)
+
+
 def test_dataset_names_the_first_bad_row_and_its_first_broken_rule():
     # Row order decides, not rule order: height 2 breaks only the time rule,
     # height 3 breaks the size rule first.

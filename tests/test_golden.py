@@ -14,12 +14,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from joist.cli import main
+
+from conftest import subprocess_env
 
 _PINNED_ON = ("2.4.6", "x86_64")
 
@@ -102,3 +107,23 @@ def test_synth_bytes_across_write_chunks(tmp_path, capsys):
         "plot.csv": "e4e8ff5236c825452894ee3630f8656f748daf39d04a47e096c34c698171c3e4",
         "composition.stdout": "a81a9ad9f6ee13819cf80a6b7902fb3cb77f72d99427a41056bfa5c35e220dcb",
     }
+
+
+def test_fitted_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # At 230,400 rows of this recipe the block_size design matrix reaches the size at which
+    # OpenBLAS splits a matrix-vector product over its threads, and the sums then round
+    # differently: it is the smallest count at which model.json differed between one thread
+    # and two before the command fixed its thread count.
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("with one CPU both thread counts are 1")
+    (tmp_path / "spec.json").write_text(json.dumps({**_SPEC, "n_blocks": 230_400}))
+    data = str(tmp_path / "data.csv")
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", data]) == 0
+    models = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"model-{threads}.json"
+        env = dict(subprocess_env(), OPENBLAS_NUM_THREADS=threads)
+        argv = ["fit", "--kind", "block_size", "--data", data, "--out", str(out)]
+        subprocess.run([sys.executable, "-m", "joist.cli", *argv], env=env, check=True, capture_output=True, timeout=120)
+        models.append(out.read_bytes())
+    assert models[0] == models[1]

@@ -142,7 +142,9 @@ def test_read_sorts_unsorted_rows(tmp_path):
 def test_read_rejects_lenient_integer_fields(tmp_path, field):
     path = tmp_path / "ds.csv"
     path.write_text(CSV_HEADER + f"\n100,285,0,2,0,0,0,1807\n101,{field},0,2,0,0,0,1807\n", encoding="utf-8")
-    with pytest.raises(FormatError, match=r"ds.csv:3: field '.*' is not plain base-10 digits$"):
+    # A field over 20 characters is shown as its first 20, "..." and its length.
+    shown = r"'.{1,20}'(\.\.\.\(\d+ characters\))?"
+    with pytest.raises(FormatError, match=rf"ds.csv:3: field {shown} is not plain base-10 digits$"):
         read_dataset(path)
 
 
@@ -257,7 +259,8 @@ def test_invalid_files_are_parsed_field_by_field_only_at_the_bad_line(tmp_path, 
     if how == "crlf":
         assert len(read_dataset(path)) == 5000
     else:
-        with pytest.raises(FormatError, match=r"ds.csv:5001: field '\d+x' is not plain base-10 digits$"):
+        shown = r"'0{20}'\.\.\.\(26 characters\)" if how == "zero-padded" else r"'\d+x'"
+        with pytest.raises(FormatError, match=rf"ds.csv:5001: field {shown} is not plain base-10 digits$"):
             read_dataset(path)
     assert len(calls) <= 16
     assert set(calls) <= {f"{path}:5001"}

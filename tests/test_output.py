@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import joist.experiment
@@ -77,6 +77,9 @@ def tables(draw, floats=False):
 
 @settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(columns=tables(floats=True))
+# Floats that recur in each of three chunks, and a table with no rows (the header alone).
+@example(columns=[np.arange(2 * CHUNK_ROWS + 1), np.resize(np.array(_FLOAT_BOUNDARIES), 2 * CHUNK_ROWS + 1)])
+@example(columns=[np.empty(0, dtype=np.int64), np.empty(0)])
 def test_formatter_equals_percent_d(columns):
     assert b"".join(_csv_chunks(CSV_HEADER, columns)) == _percent_d(columns)
 

@@ -322,6 +322,7 @@ _DATA = "".join(
 @settings(deadline=None, max_examples=100)
 @example(model=_MODEL, spec=_SPEC, data=_DATA, seed="7", n_fit="6")
 @example(model=_MODEL, spec=_SPEC.replace(b"200]", b"7" * 4299 + b"]"), data=_DATA, seed="7", n_fit="6")
+@example(model=_MODEL, spec=_SPEC, data=_DATA.replace(b"\n1,", b"\n" + b"ab" * 3000 + b",", 1), seed="7", n_fit="6")
 @example(
     model=_MODEL.replace(b"5000.0", b"7" * 4300),
     spec=_SPEC.replace(b"42", b"[" * 200_000),
