@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import json
 import os
 import re
@@ -349,14 +350,29 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    """The ``joist`` command: :func:`main` with OpenBLAS on one thread, then exit with its code.
+    """The ``joist`` command: :func:`main` with OpenBLAS on one thread and the cyclic GC off,
+    then flush stdout and stderr and end the process with its code.
 
     A fit gains nothing from BLAS threads, an idle OpenBLAS worker spin-waits on a CPU the
     interpreter needs, and a fixed count keeps large fits' bytes from depending on the machine.
     OpenBLAS reads the variable once, when numpy loads, which no command has done yet.
+
+    A command is one short process whose files are closed when :func:`main` returns, so the
+    cyclic collections that numpy's import sets off and the interpreter's teardown (clearing
+    every module, then more full collections) do work no one uses. Once stdout and stderr are
+    flushed the process ends at once, without ``atexit`` hooks, as multiprocessing's forked
+    children do; a flush that fails is left to :func:`sys.exit`, which reports it.
     """
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    sys.exit(main())
+    gc.disable()
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process started with the stream closed
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ Everything that touches wire or file formats lives in :mod:`joist.ingest`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from collections.abc import Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -82,19 +83,24 @@ class Dataset:
         if n < 1:
             raise IntegrityError("a dataset needs at least one sample")
         columns = {name: _column(name, data[name], n) for name in COLUMNS}
-        for name, col in columns.items():
-            object.__setattr__(self, name, col)
         violation = first_violation(columns)
         if violation is not None:
             i, message = violation
-            raise IntegrityError(f"height {self.height[i]}: {message}")
-        h = self.height
+            raise IntegrityError(f"height {columns['height'][i]}: {message}")
+        self._set_columns(columns)
+
+    def _set_columns(self, columns: dict[str, np.ndarray]) -> None:
+        """Make *columns*, which keep the value rules, this dataset's once their heights strictly increase."""
+        h = columns["height"]
         steps = np.flatnonzero(h[1:] <= h[:-1])
         if steps.size:
             prev, cur = h[steps[0]], h[steps[0] + 1]
             if cur == prev:
                 raise IntegrityError(f"duplicate height {cur}")
             raise IntegrityError(f"heights must be strictly increasing ({cur} after {prev})")
+        for name, col in columns.items():
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
@@ -113,8 +119,16 @@ class Dataset:
         return f"Dataset({len(self)} rows, heights {self.height[0]}..{self.height[-1]})"
 
     def take(self, indices: ArrayLike) -> "Dataset":
-        """The rows at *indices* (which must keep heights increasing)."""
-        return Dataset({c: getattr(self, c)[indices] for c in COLUMNS})
+        """The rows at *indices* (which must keep heights strictly increasing).
+
+        Each column is indexed once; its values already keep the rules, so only the order is checked.
+        """
+        columns = {c: getattr(self, c)[indices] for c in COLUMNS}
+        if len(columns["height"]) < 1:
+            raise IntegrityError("a dataset needs at least one sample")
+        taken = object.__new__(Dataset)
+        taken._set_columns(columns)
+        return taken
 
     @classmethod
     def from_columns(cls, columns: Mapping[str, ArrayLike]) -> "Dataset":
@@ -136,7 +150,6 @@ def _column(name: str, values: ArrayLike, n: int) -> np.ndarray:
         col = col.astype(np.int64, copy=False)
     else:
         raise IntegrityError(f"column {name} must hold integers within int64, got dtype {col.dtype}")
-    col.flags.writeable = False
     return col
 
 

@@ -21,9 +21,9 @@ import io
 import json
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 from urllib.parse import urlsplit
 
 import numpy as np

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
@@ -598,3 +599,81 @@ def test_ctrl_c_exits_130_with_one_line(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(joist.cli, "_cmd_correlate", interrupted)
     assert main(["correlate", "--data", str(tmp_path / "data.csv")]) == 130
     assert capsys.readouterr() == ("", "interrupted\n")
+
+
+# ---------------------------------------------------------------------------
+# The joist command's exit: flush, then end the process without teardown
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["composition", "predict"])
+def test_command_writes_what_main_writes(two_chunk_data, tmp_path, capsys, command):
+    # Buffered and piped, as in a shell pipeline: the process ends without the
+    # interpreter's teardown, and nothing main wrote may be lost.
+    model, out = tmp_path / "model.json", tmp_path / "plot.csv"
+    save_model(_TRUTH, model)
+    argv = {
+        "composition": ["composition", "--data", str(two_chunk_data)],
+        "predict": ["predict", "--model", str(model), "--data", str(two_chunk_data), "--out", str(out)],
+    }[command]
+    files = [out, tmp_path / "plot.csv.line.json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    written = {path: path.read_bytes() for path in files if path.exists()}
+    for path in written:
+        path.unlink()
+    result = subprocess.run(
+        [sys.executable, "-m", "joist.cli", *argv],
+        env=dict(subprocess_env(), PYTHONUNBUFFERED=""), capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected.out, expected.err)
+    assert {path: path.read_bytes() for path in files if path.exists()} == written
+    if command == "composition":
+        assert expected.out.splitlines()[-1].startswith("mean,")
+        assert expected.err == "excluded 667 block(s) with no verification items\n"
+    else:
+        assert (expected.out, len(written)) == ("", 2)
+        assert expected.err == f"wrote plot data to {out} (regression line in {out}.line.json)\n"
+
+
+def test_main_leaves_the_cyclic_gc_as_it_found_it(two_chunk_data):
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            assert main(["composition", "--data", str(two_chunk_data)]) == 0
+            assert main(["--help"]) == 0
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+def test_run_flushes_text_left_in_the_stdout_buffer():
+    probe = "import sys, joist.cli; print('pending'); sys.argv = ['joist', 'fit']; joist.cli.run()"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(subprocess_env(), PYTHONUNBUFFERED=""), capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (1, "pending\n")
+
+
+def test_failed_final_flush_is_reported_by_the_interpreter_exit():
+    # stdout still holds text that cannot be written: run falls back to sys.exit, whose
+    # own flush fails again and is reported as it is for any Python program.
+    probe = "\n".join([
+        "import sys, joist.cli",
+        "sys.stdout = open('/dev/full', 'w', encoding='utf-8')",
+        "print('pending')",
+        "sys.argv = ['joist', 'fit']",
+        "joist.cli.run()",
+    ])
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=subprocess_env(), capture_output=True, text=True, timeout=60
+    )
+    lines = result.stderr.splitlines()
+    assert result.returncode == 120
+    assert lines[-3].startswith("joist fit: error: the following arguments are required")
+    assert lines[-2:] == [
+        "Exception ignored in: <_io.TextIOWrapper name='/dev/full' mode='w' encoding='utf-8'>",
+        "OSError: [Errno 28] No space left on device",
+    ]

@@ -154,6 +154,35 @@ def test_dataset_from_columns_rejects_a_column_of_another_length(heights, sizes)
         Dataset.from_columns(columns)
 
 
+def test_take_returns_read_only_copies_of_the_chosen_rows():
+    ds = make_dataset([_row(h, time_us=10 + h) for h in range(1, 7)])
+    taken = ds.take([0, 2, 5])
+    assert taken.height.tolist() == [1, 3, 6] and taken.verify_time_us.tolist() == [11, 13, 16]
+    assert taken == Dataset({c: getattr(ds, c)[[0, 2, 5]] for c in COLUMNS})
+    for c in COLUMNS:
+        assert not getattr(taken, c).flags.writeable
+        with pytest.raises(ValueError):
+            getattr(taken, c)[0] = 1
+    assert ds.height.tolist() == [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ([0, 2, 2], r"^duplicate height 3$"),
+        ([0, 3, 1], r"^heights must be strictly increasing \(2 after 4\)$"),
+        ([], r"^a dataset needs at least one sample$"),
+    ],
+    ids=["repeated", "decreasing", "empty"],
+)
+def test_take_out_of_order_raises_the_constructor_error(indices, message):
+    ds = make_dataset([_row(h) for h in range(1, 5)])
+    with pytest.raises(IntegrityError, match=message):
+        ds.take(indices)
+    with pytest.raises(IntegrityError, match=message):
+        Dataset({c: getattr(ds, c)[indices] for c in COLUMNS})
+
+
 def test_dataset_names_the_first_bad_row_and_its_first_broken_rule():
     # Row order decides, not rule order: height 2 breaks only the time rule,
     # height 3 breaks the size rule first.
