@@ -160,7 +160,6 @@ def test_take_returns_read_only_copies_of_the_chosen_rows():
     assert taken.height.tolist() == [1, 3, 6] and taken.verify_time_us.tolist() == [11, 13, 16]
     assert taken == Dataset({c: getattr(ds, c)[[0, 2, 5]] for c in COLUMNS})
     for c in COLUMNS:
-        assert not getattr(taken, c).flags.writeable
         with pytest.raises(ValueError):
             getattr(taken, c)[0] = 1
     assert ds.height.tolist() == [1, 2, 3, 4, 5, 6]
