@@ -11,16 +11,16 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
-import json
 import os
 import re
 import sys
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import FormatError, JoistError, NumericalError, RemoteError
 
-# The modules that need numpy are imported by the command that uses them, when it
-# runs, so that `--help` and usage errors do not load them.
+# The modules that need numpy, and json, are imported by the command that uses them,
+# when it runs, so that `--help` and usage errors do not load them.
 if TYPE_CHECKING:
     from .experiment import SynthSpec
     from .ingest import RpcEndpoint
@@ -149,6 +149,8 @@ def _synth_spec_from_json(doc) -> SynthSpec:
 
 
 def _cmd_synth(args) -> int:
+    import json
+
     from .experiment import generate_synthetic
     from .ingest import write_dataset
 
@@ -171,13 +173,13 @@ def _cmd_fit(args) -> int:
 
     if (args.seed is None) != (args.n_fit is None):
         raise _UsageError("--seed and --n-fit must be given together")
-    ds = read_dataset(args.data)
+    train = read_dataset(args.data)
     if args.seed is not None:
         from .experiment import SplitPlan, split
 
-        train, _ = split(ds, SplitPlan(seed=args.seed, n_fit=args.n_fit))
-    else:
-        train = ds
+        # Only the fit half is kept: neither the whole dataset nor the predict half is held
+        # while the fit runs.
+        train = split(train, SplitPlan(seed=args.seed, n_fit=args.n_fit))[0]
     result = ols_fit(ModelKind(args.kind), train)
     save_model(result.model, args.out)
     if result.condition_warning:
@@ -203,7 +205,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    from dataclasses import asdict
+    import json
 
     from .ingest import read_dataset
     from .models import load_model, n_predictors, predict
@@ -212,7 +214,7 @@ def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     ds = read_dataset(args.data)
     report = evaluate(ds.verify_time_us, predict(model, ds), n_predictors(model.kind))
-    _write_stdout([json.dumps(asdict(report)) + "\n"])
+    _write_stdout([json.dumps(vars(report)) + "\n"])
     return EXIT_OK
 
 

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the base of its records.
 
 The tree mirrors the CLI exit-code buckets: data/integrity problems,
 remote/transport failures, and numerical failures each have a common base so
 callers can map whole families at once.
+
+:class:`Record` lives here because every module that defines a record
+already imports this one, which needs only the standard library.
 """
 
 from __future__ import annotations
@@ -70,3 +73,58 @@ class SampleCountError(NumericalError):
 
 class UnsupportedKindError(JoistError):
     """The operation does not apply to this model kind."""
+
+
+class Record:
+    """An immutable value with named fields, the base of the package's record types.
+
+    A subclass declares its fields as class annotations, in order; a field
+    given a value in the class body defaults to it. Instances are built by
+    position or keyword, then checked by ``__post_init__``; assigning to or
+    deleting an attribute raises ``AttributeError``. Two records are equal
+    when they are of the same class and their fields are equal, and hash as
+    the tuple of their fields. ``vars(record)`` is the fields, in order.
+
+    Unlike ``dataclasses``, this generates no code per class, which keeps
+    that cost out of every command's start.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        if len(args) > len(cls._fields) or not kwargs.keys() <= set(cls._fields[len(args):]):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(cls._fields)}, each once")
+        values = {**cls._defaults, **dict(zip(cls._fields, args)), **kwargs}
+        missing = [name for name in cls._fields if name not in values]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing field(s): {', '.join(missing)}")
+        vars(self).update((name, values[name]) for name in cls._fields)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check the fields; a subclass raises here for a value it does not accept."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(vars(self).values()) == tuple(vars(other).values())
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"

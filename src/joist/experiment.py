@@ -8,12 +8,10 @@ alone.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -21,15 +19,18 @@ from .errors import (
     DegenerateVarianceError,
     IntegrityError,
     RankDeficiencyError,
+    Record,
     ShapeError,
     SynthSpecError,
 )
 from .features import COUNT_COLUMNS, FEATURE_COLUMNS, Dataset
-from .fit import ols_fit
-from .models import PREDICTORS, ModelKind, ModelSpec, n_predictors, predict
 from .output import _atomic_write, _csv_chunks
-from .rng import gaussians, splitmix64
-from .stats import EvalReport, centred, correlation, evaluate, exact_sum, require_finite
+
+# fit, models, rng and stats are imported by the functions that call them, so that a
+# command loads only what it runs: correlate and composition need none but stats.
+if TYPE_CHECKING:
+    from .models import ModelKind, ModelSpec
+    from .stats import EvalReport
 
 _MAX_SEED = (1 << 64) - 1
 _INT64_MAX = (1 << 63) - 1
@@ -42,8 +43,7 @@ COMPARISON_CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class SplitPlan:
+class SplitPlan(Record):
     """A seeded fit/predict partition: *n_fit* rows to fit on, the rest to predict."""
 
     seed: int
@@ -63,6 +63,8 @@ def split(ds: Dataset, plan: SplitPlan) -> tuple[Dataset, Dataset]:
     shuffled by Fisher-Yates on the SplitMix64 draws for the seed (see :mod:`joist.rng`) and
     the first ``plan.n_fit`` form the fit set. IntegrityError if none are left to predict.
     """
+    from .rng import splitmix64
+
     n, n_fit = len(ds), plan.n_fit
     if n_fit >= n:
         raise IntegrityError("n_fit and n_predict must both be >= 1")
@@ -85,8 +87,7 @@ def split(ds: Dataset, plan: SplitPlan) -> tuple[Dataset, Dataset]:
     return ds.take(np.flatnonzero(in_fit)), ds.take(np.flatnonzero(~in_fit))
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(Record):
     model_kind: ModelKind
     split_label: str
     report: EvalReport
@@ -104,6 +105,10 @@ def run_comparison(
     baselines skip fitting and are evaluated on the same predict set. One row
     per model, in the order given (fitted kinds first).
     """
+    from .fit import ols_fit
+    from .models import n_predictors, predict
+    from .stats import evaluate
+
     fit_set, predict_set = split(ds, plan)
     label = f"{plan.n_fit}/{len(ds) - plan.n_fit}"
     t = predict_set.verify_time_us
@@ -146,6 +151,8 @@ def correlation_table(ds: Dataset) -> dict[str, float | None]:
     variance) instead of a number, as does every entry if the times are
     constant. The time-side moments are computed once for all features.
     """
+    from .stats import centred, correlation
+
     if len(ds) < 2:
         raise ShapeError(f"need at least 2 observations, got {len(ds)}")
     t = centred(ds.verify_time_us)
@@ -158,8 +165,7 @@ def correlation_table(ds: Dataset) -> dict[str, float | None]:
     return table
 
 
-@dataclass(frozen=True, eq=False)
-class CompositionReport:
+class CompositionReport(Record):
     """Per-block and mean shares of transparent inputs, Spend+Output
     descriptions, and JoinSplit descriptions among a block's verification
     items. Blocks with no items at all (coinbase-only) are excluded and
@@ -177,8 +183,14 @@ class CompositionReport:
     mean_joinsplit: float | None
     n_excluded: int
 
+    # Compared by identity: its columns are arrays.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
 
 def composition_analysis(ds: Dataset) -> CompositionReport:
+    from .stats import exact_sum
+
     # Float64 sums equal the integer sums while those stay below 2**53, and
     # unlike int64 sums they cannot wrap.
     n_in, n_spend, n_output, n_js = (
@@ -206,8 +218,7 @@ _SYNTH_BASE_BYTES = 1000
 _SYNTH_SIZE_NOISE_FRACTION = 0.05
 
 
-@dataclass(frozen=True)
-class SynthSpec:
+class SynthSpec(Record):
     """Recipe for a synthetic dataset with known ground truth.
 
     ``count_ranges`` maps each feature-model predictor name to an inclusive
@@ -221,6 +232,8 @@ class SynthSpec:
     seed: int
 
     def __post_init__(self) -> None:
+        from .models import PREDICTORS, ModelKind
+
         if self.true_model.kind is not ModelKind.JOIST:
             raise SynthSpecError("true_model must be of the joist kind")
         if not 0 <= self.noise_sigma_us < math.inf:
@@ -256,6 +269,9 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
             for one draw buffer, or if a drawn time or size is not finite or
             does not fit in int64.
     """
+    from .models import PREDICTORS, ModelKind
+    from .rng import gaussians, splitmix64
+
     names = PREDICTORS[ModelKind.JOIST]
     # First, so that the bounds below convert to floats; the size may be too long for str().
     max_size = _SYNTH_BASE_BYTES + sum(_SYNTH_BYTES[n] * spec.count_ranges[n][1] for n in names)
@@ -329,6 +345,11 @@ def emit_plot_data(predict_set: Dataset, model: ModelSpec, out: str | Path) -> N
         NumericalError: before anything is written, if a prediction is not
             finite or a square or sum is beyond float range.
     """
+    import json
+
+    from .models import predict
+    from .stats import centred, exact_sum, require_finite
+
     predictions = predict(model, predict_set)
     require_finite(predictions, "predictions")
     measured = predict_set.verify_time_us

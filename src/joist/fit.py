@@ -10,12 +10,11 @@ meaningless per-operation cost estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .errors import RankDeficiencyError, SampleCountError, UnsupportedKindError
+from .errors import RankDeficiencyError, Record, SampleCountError, UnsupportedKindError
 from .features import FEATURE_COLUMNS, Dataset
 from .models import PREDICTORS, ModelKind, ModelSpec
 
@@ -24,8 +23,7 @@ from .models import PREDICTORS, ModelKind, ModelSpec
 _CONDITION_WARN_THRESHOLD = 1e8
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     model: ModelSpec
     n_samples: int
     residual_sum_squares: float

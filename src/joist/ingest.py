@@ -18,11 +18,9 @@ rule it breaks: every column is non-negative, and sizes and times positive.
 from __future__ import annotations
 
 import io
-import json
 import math
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -33,6 +31,7 @@ from .errors import (
     HeightRangeError,
     IntegrityError,
     ParseError,
+    Record,
     RpcConnectionError,
 )
 from .features import COLUMNS, Dataset, extract_tx_features, first_violation
@@ -61,8 +60,7 @@ _MAX_REPLY_BYTES = 64 << 20
 MAX_PARALLEL = 64
 
 
-@dataclass(frozen=True)
-class RpcEndpoint:
+class RpcEndpoint(Record):
     """A node's JSON-RPC endpoint with basic-auth credentials."""
 
     url: str
@@ -83,6 +81,7 @@ def _rpc_call(endpoint: RpcEndpoint, method: str, params: list):
     # Imported on first use: http.client, ssl and email add ~40 ms to every other command's start.
     import base64
     import http.client
+    import json
     import urllib.error
     import urllib.request
 

@@ -14,16 +14,14 @@ evaluation metrics downstream.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
-from .errors import FormatError, IntegrityError
+from .errors import FormatError, IntegrityError, Record
 from .features import FEATURE_COLUMNS, Dataset
 from .output import _atomic_write
 
@@ -49,8 +47,7 @@ def n_predictors(kind: ModelKind) -> int:
     return len(PREDICTORS[kind])
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Record):
     """A fitted (or given) predictor: kind, named coefficients, intercept."""
 
     kind: ModelKind
@@ -138,6 +135,8 @@ def save_model(model: ModelSpec, path: str | Path) -> None:
         FormatError: if a coefficient or the intercept is not finite; JSON
             has no literal for it and nothing is written.
     """
+    import json
+
     try:
         text = json.dumps(to_json_dict(model), allow_nan=False)
     except ValueError as exc:
@@ -146,6 +145,8 @@ def save_model(model: ModelSpec, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ModelSpec:
+    import json
+
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge number, deep nesting

@@ -53,8 +53,10 @@ def _csv_chunks(header: str, columns: list[np.ndarray]) -> Iterator[bytes]:
     for i, c in enumerate(columns):
         if c.dtype == np.float64:
             bits, columns[i] = np.unique(c.view(np.int64), return_inverse=True)
-            strs = np.array([str(v) for v in bits.view(np.float64).tolist()], dtype="S")
-            table = np.char.ljust(strs, strs.itemsize + strs.itemsize % 2)
+            texts = [str(v) for v in bits.view(np.float64).tolist()]
+            width = max(map(len, texts))
+            width += width % 2
+            table = np.array([s.ljust(width) for s in texts], dtype=f"S{width}")
             tables[i] = table.view(np.uint16).reshape(len(table), -1).T
     for start in range(0, len(columns[0]), CHUNK_ROWS):
         yield _format_rows([c[start:start + CHUNK_ROWS] for c in columns], tables)

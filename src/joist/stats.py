@@ -28,7 +28,6 @@ raises :class:`NumericalError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum, sqrt
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -38,6 +37,7 @@ from .errors import (
     DegenerateDataError,
     DegenerateVarianceError,
     NumericalError,
+    Record,
     SampleCountError,
     ShapeError,
 )
@@ -180,8 +180,7 @@ def adjusted_r_squared(r2: float, n: int, p: int) -> float:
     return 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(Record):
     """All evaluation statistics for one (model, dataset) pair."""
 
     n: int

@@ -544,6 +544,54 @@ def test_cli_import_loads_no_http_stack(tmp_path, statement, exit_code, absent):
     assert loaded & _HTTP_STACK == set()
 
 
+# Modules a command never calls, which its start would pay for; no command loads dataclasses.
+_ANALYSIS_SKIPS = {"joist.fit", "joist.models", "joist.rng", "json", "numpy.char"}
+_NOT_LOADED_BY = {
+    "synth": {"joist.fit", "joist.stats"},
+    "fit": set(),
+    "evaluate": set(),
+    "predict": set(),
+    "compare": set(),
+    "correlate": _ANALYSIS_SKIPS,
+    "composition": _ANALYSIS_SKIPS,
+    "fetch": set(),
+    "--help": {"json", "numpy"},
+}
+
+
+@pytest.mark.parametrize("command", _NOT_LOADED_BY)
+def test_command_loads_only_what_it_runs(tmp_path, rpc_server, command):
+    spec, data, model, out = (str(tmp_path / name) for name in ("spec.json", "data.csv", "model.json", "out.csv"))
+    _write_synth_spec(tmp_path / "spec.json")
+    assert main(["synth", "--spec", spec, "--out", data]) == 0
+    save_model(_TRUTH, model)
+    argv = {
+        "synth": ["--spec", spec, "--out", out],
+        "fit": ["--kind", "joist", "--data", data, "--out", model, "--seed", "1", "--n-fit", "200"],
+        "evaluate": ["--model", model, "--data", data],
+        "predict": ["--model", model, "--data", data, "--out", out],
+        "compare": ["--data", data, "--seed", "1", "--n-fit", "200", "--baseline-gervais"],
+        "correlate": ["--data", data],
+        "composition": ["--data", data],
+        "fetch": ["--from", "100", "--to", "102", "--out", out],
+        "--help": [],
+    }[command]
+    probe = "\n".join([
+        "import sys",
+        "import joist.cli",
+        f"code = joist.cli.main({[command, *argv]!r})",
+        "print(','.join(sorted(sys.modules)), file=sys.stderr)",
+        "sys.exit(code)",
+    ])
+    env = {**subprocess_env(), "JOIST_RPC_URL": rpc_server, "JOIST_RPC_USER": RPC_USER, "JOIST_RPC_PASS": RPC_PASS}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stderr.splitlines()[-1].split(","))
+    assert "joist.errors" in loaded
+    assert "dataclasses" not in loaded
+    assert loaded & _NOT_LOADED_BY[command] == set()
+
+
 # ---------------------------------------------------------------------------
 # stdout that cannot be written, and Ctrl-C
 # ---------------------------------------------------------------------------
