@@ -223,11 +223,12 @@ def _cmd_compare(args) -> int:
     from .ingest import read_dataset
     from .models import GERVAIS_BASELINE, ModelKind
 
-    ds = read_dataset(args.data)
-    plan = SplitPlan(seed=args.seed, n_fit=args.n_fit)
-    baselines = (GERVAIS_BASELINE,) if args.baseline_gervais else ()
+    # Unnamed, so that run_comparison can drop the whole dataset after the split; read before the plan is checked.
     rows = run_comparison(
-        ds, plan, kinds=(ModelKind.JOIST, ModelKind.BLOCK_SIZE), baselines=baselines
+        read_dataset(args.data),
+        SplitPlan(seed=args.seed, n_fit=args.n_fit),
+        kinds=(ModelKind.JOIST, ModelKind.BLOCK_SIZE),
+        baselines=(GERVAIS_BASELINE,) if args.baseline_gervais else (),
     )
     _write_stdout(line + "\n" for line in comparison_csv_lines(rows))
     return EXIT_OK

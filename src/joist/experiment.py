@@ -110,7 +110,8 @@ def run_comparison(
     from .stats import evaluate
 
     fit_set, predict_set = split(ds, plan)
-    label = f"{plan.n_fit}/{len(ds) - plan.n_fit}"
+    del ds  # only the two halves are held through the fits
+    label = f"{plan.n_fit}/{len(predict_set)}"
     t = predict_set.verify_time_us
     models = chain((ols_fit(kind, fit_set).model for kind in kinds), baselines)
     return [
@@ -310,6 +311,7 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
             exact = exact + coeffs[name] * counts[name].astype(np.float64)
         times = spec.true_model.intercept_us + exact + gaussians(draws[:, 4], draws[:, 5]) * spec.noise_sigma_us
         size_noise = gaussians(draws[:, 6], draws[:, 7]) * _SYNTH_SIZE_NOISE_FRACTION * affine_size
+    del draws  # freed before the dataset's table is built
     columns = {
         "height": np.arange(1, spec.n_blocks + 1),
         "size_bytes": _rounded_at_least_one("size_bytes", affine_size + size_noise),

@@ -6,7 +6,7 @@ descriptions (one zk-SNARK proof each), and transparent inputs (one signature
 check each, assuming P2PKH). Transparent outputs trigger no verification work
 of their own; they are carried only for correlation reporting.
 
-Fetched counts and dataset rows are columns named by :data:`COLUMNS`.
+Fetched counts are columns named by :data:`COLUMNS`; a :class:`Dataset` is one row table in that order.
 Everything that touches wire or file formats lives in :mod:`joist.ingest`.
 """
 
@@ -41,77 +41,60 @@ FEATURE_COLUMNS = {"byte": "size_bytes", **{c.removeprefix("n_"): c for c in COU
 
 _INT64 = np.iinfo(np.int64)
 
-# The value rules, in the order a row is checked: (column, rule, test for
-# the column's breaking values). Every column is int64, so no value is
-# fractional or non-finite.
-_RULES = (
-    ("height", ">= 0", lambda v: v < 0),
-    ("size_bytes", "> 0", lambda v: v <= 0),
-    *((name, ">= 0", lambda v: v < 0) for name in COUNT_COLUMNS),
-    ("verify_time_us", "> 0", lambda v: v <= 0),
-)
+# Each column's least value, in COLUMNS order: sizes and times are positive (all int64: whole and finite).
+_MINIMUM = np.array([0, 1, 0, 0, 0, 0, 0, 1])
 
 
-def first_violation(columns: Mapping[str, np.ndarray]) -> tuple[int, str] | None:
-    """The first row, in the order given, that breaks a value rule, and the
-    message of the first rule (in _RULES order) it breaks; None if none does.
-
-    Rules whose column is absent from *columns* are skipped.
-    """
-    present = (r for r in _RULES if r[0] in columns)
-    failed = [(name, rule, bad) for name, rule, test in present if (bad := test(columns[name])).any()]
-    if not failed:
+def first_violation(table: np.ndarray) -> tuple[int, str] | None:
+    """The first row of *table* (rows of the first k COLUMNS, in the order given) that breaks
+    a value rule, and the message of its first column that does; None if no row does."""
+    bad = table < _MINIMUM[: table.shape[1]]
+    if not bad.any():
         return None
-    i = min(int(bad.argmax()) for _, _, bad in failed)
-    name, rule, _ = next(f for f in failed if f[2][i])
-    return i, f"{name} must be {rule}, got {columns[name][i]}"
+    i, j = divmod(int(bad.argmax()), bad.shape[1])
+    return i, f"{COLUMNS[j]} must be {'> 0' if _MINIMUM[j] else '>= 0'}, got {table[i, j]}"
 
 
 class Dataset:
-    """An ordered, height-unique table of verification samples, one column per field.
+    """An ordered, height-unique table of verification samples, one row per block.
 
-    Each name in :data:`COLUMNS` is a read-only int64 numpy attribute whose
-    values keep the rules in ``_RULES``. Heights must be strictly increasing;
-    use :meth:`from_columns` to build a dataset from rows in any order.
+    ``table`` is a read-only C-order ``(n, 8)`` int64 array, columns in :data:`COLUMNS`
+    order, whose values keep the minimums in ``_MINIMUM``; each name in COLUMNS is a
+    read-only view of its column. Heights strictly increase; :meth:`from_columns` takes
+    rows in any order. Both constructors copy the caller's columns into a new table.
     """
 
-    __slots__ = COLUMNS
+    __slots__ = ("table", *COLUMNS)
 
     def __init__(self, data: Mapping[str, ArrayLike]):
         """Build from a mapping of every name in COLUMNS to a column."""
-        n = len(data["height"])
-        if n < 1:
-            raise IntegrityError("a dataset needs at least one sample")
-        columns = {name: _column(name, data[name], n) for name in COLUMNS}
-        violation = first_violation(columns)
-        if violation is not None:
-            i, message = violation
-            raise IntegrityError(f"height {columns['height'][i]}: {message}")
-        self._set_columns(columns)
+        self._hold(_checked(_stacked(data)))
 
-    def _set_columns(self, columns: dict[str, np.ndarray]) -> None:
-        """Make *columns*, which keep the value rules, this dataset's once their heights strictly increase."""
-        h = columns["height"]
+    def _hold(self, table: np.ndarray) -> None:
+        """Make *table*, whose rows keep the value rules, this dataset's once its heights strictly increase."""
+        if len(table) < 1:
+            raise IntegrityError("a dataset needs at least one sample")
+        h = table[:, 0]
         steps = np.flatnonzero(h[1:] <= h[:-1])
         if steps.size:
             prev, cur = h[steps[0]], h[steps[0] + 1]
             if cur == prev:
                 raise IntegrityError(f"duplicate height {cur}")
             raise IntegrityError(f"heights must be strictly increasing ({cur} after {prev})")
-        for name, col in columns.items():
-            col.flags.writeable = False
-            object.__setattr__(self, name, col)
+        table.flags.writeable = False
+        for name, value in zip(self.__slots__, (table, *table.T)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
 
     def __len__(self) -> int:
-        return len(self.height)
+        return len(self.table)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return all(np.array_equal(getattr(self, c), getattr(other, c)) for c in COLUMNS)
+        return np.array_equal(self.table, other.table)
 
     __hash__ = None
 
@@ -119,38 +102,51 @@ class Dataset:
         return f"Dataset({len(self)} rows, heights {self.height[0]}..{self.height[-1]})"
 
     def take(self, indices: ArrayLike) -> "Dataset":
-        """The rows at *indices* (which must keep heights strictly increasing).
-
-        Each column is indexed once; its values already keep the rules, so only the order is checked.
-        """
-        columns = {c: getattr(self, c)[indices] for c in COLUMNS}
-        if len(columns["height"]) < 1:
-            raise IntegrityError("a dataset needs at least one sample")
+        """The rows at *indices*, gathered once; they keep the rules already, so only their
+        height order (which must strictly increase) is checked."""
         taken = object.__new__(Dataset)
-        taken._set_columns(columns)
+        taken._hold(self.table[indices])
         return taken
 
     @classmethod
     def from_columns(cls, columns: Mapping[str, ArrayLike]) -> "Dataset":
         """Build a dataset from columns with rows in any order (stably sorted by height here)."""
-        heights = np.asarray(columns["height"])
-        if (heights[1:] > heights[:-1]).all():  # already in order, as in every file write_dataset makes
-            return cls(columns)
-        order = np.argsort(heights, kind="stable")
-        # A column of another shape is passed on unsorted, for __init__ to reject by name.
-        same = [c for c in COLUMNS if np.shape(columns[c]) == heights.shape]
-        return cls({**columns, **{c: np.asarray(columns[c])[order] for c in same}})
+        return cls._from_table(_stacked(columns))
+
+    @classmethod
+    def _from_table(cls, table: np.ndarray) -> "Dataset":
+        """A dataset of *table*, C-order (n, 8) int64 rows in any order: itself if sorted, else sorted stably."""
+        h = table[:, 0]
+        if not (h[1:] > h[:-1]).all():  # in order already, as in every file write_dataset makes
+            table = table[np.argsort(h, kind="stable")]
+        ds = object.__new__(cls)
+        ds._hold(_checked(table))
+        return ds
 
 
-def _column(name: str, values: ArrayLike, n: int) -> np.ndarray:
-    col = np.array(values)
-    if col.shape != (n,):
-        raise IntegrityError(f"column {name} has shape {col.shape}, expected ({n},)")
-    if col.dtype.kind in "iu" and _INT64.min <= col.min() and col.max() <= _INT64.max:
-        col = col.astype(np.int64, copy=False)
-    else:
-        raise IntegrityError(f"column {name} must hold integers within int64, got dtype {col.dtype}")
-    return col
+def _stacked(data: Mapping[str, ArrayLike]) -> np.ndarray:
+    """A new (n, 8) int64 table of the mapping's columns, in COLUMNS order."""
+    n = len(data["height"])
+    if n < 1:
+        raise IntegrityError("a dataset needs at least one sample")
+    table = np.empty((n, len(COLUMNS)), dtype=np.int64)
+    for j, name in enumerate(COLUMNS):
+        col = np.asarray(data[name])
+        if col.shape != (n,):
+            raise IntegrityError(f"column {name} has shape {col.shape}, expected ({n},)")
+        if not (col.dtype.kind in "iu" and _INT64.min <= col.min() and col.max() <= _INT64.max):
+            raise IntegrityError(f"column {name} must hold integers within int64, got dtype {col.dtype}")
+        table[:, j] = col
+    return table
+
+
+def _checked(table: np.ndarray) -> np.ndarray:
+    """*table* if its rows keep the value rules; otherwise the error naming the first row that does not."""
+    violation = first_violation(table)
+    if violation is not None:
+        i, message = violation
+        raise IntegrityError(f"height {table[i, 0]}: {message}")
+    return table
 
 
 def extract_tx_features(tx: Mapping) -> tuple[int, ...]:

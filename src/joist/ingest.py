@@ -34,7 +34,7 @@ from .errors import (
     Record,
     RpcConnectionError,
 )
-from .features import COLUMNS, Dataset, extract_tx_features, first_violation
+from .features import COLUMNS, Dataset, _checked, extract_tx_features, first_violation
 from .output import _atomic_write, _csv_chunks
 
 CSV_HEADER = ",".join(COLUMNS)
@@ -156,10 +156,11 @@ def _block_row(block: Mapping, height: int) -> list[int]:
         counts = [sum(c) for c in zip(*map(extract_tx_features, txs))]
     except (ParseError, IntegrityError) as exc:
         raise type(exc)(f"block {height}: {exc}") from exc
-    violation = first_violation({"size_bytes": np.array([size])})
+    row = [height, size, *counts]
+    violation = first_violation(np.array([row]))
     if violation is not None:
         raise IntegrityError(f"block {height}: {violation[1]}")
-    return [height, size, *counts]
+    return row
 
 
 def _fetch_one(endpoint: RpcEndpoint, height: int) -> list[int]:
@@ -199,7 +200,7 @@ def fetch_block_features(endpoint: RpcEndpoint, height_range: tuple[int, int]) -
 
 def write_dataset(ds: Dataset, path: str | Path) -> None:
     """Write the dataset in the interchange CSV format, rows sorted by height."""
-    _atomic_write(path, _csv_chunks(CSV_HEADER, [getattr(ds, c) for c in COLUMNS]))
+    _atomic_write(path, _csv_chunks(CSV_HEADER, list(ds.table.T)))
 
 
 def write_features_csv(columns: Mapping[str, np.ndarray], path: str | Path) -> None:
@@ -213,13 +214,9 @@ def write_features_csv(columns: Mapping[str, np.ndarray], path: str | Path) -> N
         IntegrityError: a value breaks its column's rule (the first such row
             in height order is named); nothing is written.
     """
-    order = np.argsort(np.asarray(columns["height"]), kind="stable")
-    table = {c: np.asarray(columns[c], dtype=np.int64)[order] for c in COLUMNS[:-1]}
-    violation = first_violation(table)
-    if violation is not None:
-        i, message = violation
-        raise IntegrityError(f"height {table['height'][i]}: {message}")
-    _atomic_write(path, _csv_chunks(CSV_HEADER, [*table.values(), np.zeros(len(order), dtype=np.int64)]))
+    table = np.stack([np.asarray(columns[c], dtype=np.int64) for c in COLUMNS[:-1]], axis=1)
+    table = _checked(table[np.argsort(table[:, 0], kind="stable")])
+    _atomic_write(path, _csv_chunks(CSV_HEADER, [*table.T, np.zeros(len(table), dtype=np.int64)]))
 
 
 def read_dataset(path: str | Path) -> Dataset:
@@ -246,34 +243,37 @@ def read_dataset(path: str | Path) -> Dataset:
     del raw  # the body is the one copy of the file kept
     if head != CSV_HEADER.encode():
         raise FormatError(f'{path}: bad header; expected "{CSV_HEADER}"')
-    columns = None
+    table = None
     if not body.translate(None, b"0123456789,\n"):
         try:
-            columns = _loadtxt(body)
-            return Dataset.from_columns(columns)
+            table = _loadtxt(body)
+            return Dataset._from_table(table)
         except (ValueError, IntegrityError):
             pass  # numpy refused a line, or a value breaks a rule: name the line
-    return Dataset.from_columns(_line_columns(body, path, columns))
+    return Dataset._from_table(_line_table(body, path, table))
 
 
-def _loadtxt(text: bytes) -> dict[str, np.ndarray]:
-    """Columns of LF-separated rows; numpy skips blank lines and refuses a bad or ragged row."""
+def _loadtxt(text: bytes) -> np.ndarray:
+    """The (n, 8) table of LF-separated rows; numpy skips blank lines and refuses a bad or ragged
+    row, and a table of another width is refused here (ValueError), so that its first line is named."""
     if not text.lstrip(b"\n"):  # numpy warns on an input with no rows
-        return {c: np.empty(0, dtype=np.int64) for c in COLUMNS}
-    table = np.loadtxt(io.BytesIO(text), [(c, np.int64) for c in COLUMNS], delimiter=",", comments=None, ndmin=1)
-    return {c: table[c] for c in COLUMNS}
+        return np.empty((0, len(COLUMNS)), dtype=np.int64)
+    table = np.loadtxt(io.BytesIO(text), np.int64, delimiter=",", comments=None, ndmin=2)
+    if table.shape[1] != len(COLUMNS):
+        raise ValueError(f"rows of {table.shape[1]} fields")
+    return table
 
 
-def _line_columns(body: bytes, path, columns: dict[str, np.ndarray] | None) -> dict[str, np.ndarray]:
-    """The body's columns, checked, or the error of its first bad line.
+def _line_table(body: bytes, path, table: np.ndarray | None) -> np.ndarray:
+    """The body's table, checked, or the error of its first bad line.
 
-    Unless numpy parsed *columns* from the whole body, only the lines that
+    Unless numpy parsed *table* from the whole body, only the lines that
     _ROW rejects are parsed field by field; the first that fails is the bad
     line, and the lines before it are read and checked before it is named.
     """
     lines = body.split(b"\n")
     error = None
-    if columns is None:
+    if table is None:
         for k, line in enumerate(lines):
             if line and not _ROW.fullmatch(line):
                 where, parts = f"{path}:{k + 2}", line.decode().split(",")
@@ -285,26 +285,26 @@ def _line_columns(body: bytes, path, columns: dict[str, np.ndarray] | None) -> d
                 except FormatError as exc:
                     error, lines = exc, lines[:k]
                     break
-        columns = _loadtxt(b"\n".join(lines))
+        table = _loadtxt(b"\n".join(lines))
     linenos = np.flatnonzero(np.fromiter(map(len, lines), np.int64, len(lines))) + 2
-    violation = first_violation(columns)
+    violation = first_violation(table)
     if violation is not None:
         i, message = violation
         raise IntegrityError(f"{path}:{linenos[i]}: {message}")
     # A stable sort keeps equal heights in file order: each repeat follows its first line.
-    order = np.argsort(columns["height"], kind="stable")
-    heights = columns["height"][order]
+    order = np.argsort(table[:, 0], kind="stable")
+    heights = table[order, 0]
     repeats = np.flatnonzero(heights[1:] == heights[:-1]) + 1
     if repeats.size:
         i = int(order[repeats].min())
-        h = columns["height"][i]
+        h = table[i, 0]
         k = linenos[order[np.searchsorted(heights, h)]]
         raise IntegrityError(f"{path}:{linenos[i]}: duplicate height {h} (first on line {k})")
     if error is not None:
         raise error
     if not linenos.size:
         raise IntegrityError(f"{path}: dataset file has no rows")
-    return columns
+    return table
 
 
 def _parse_field(part: str, where: str) -> None:

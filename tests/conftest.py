@@ -19,7 +19,7 @@ import pytest
 
 import joist
 from joist import Dataset, FormatError, IntegrityError, ModelKind, ModelSpec, SynthSpec, predict
-from joist.features import COLUMNS, FEATURE_COLUMNS, first_violation
+from joist.features import COLUMNS, FEATURE_COLUMNS
 from joist.ingest import CSV_HEADER
 from joist.models import PREDICTORS
 from joist.output import TEMP_SUFFIX
@@ -28,14 +28,16 @@ _TESTS_DIR = Path(__file__).resolve().parent
 
 
 def pytest_collection_modifyitems(items):
-    """Under tests/ only, make a leaked file or socket, or a floating-point
-    overflow, invalid operation or deprecation warning, fail its test."""
+    """Under tests/ only, make a leaked file or socket, a floating-point
+    overflow or invalid operation, a deprecation warning or a UserWarning
+    (numpy's loadtxt gives one for an input with no rows) fail its test."""
     for item in items:
         if item.path.resolve().is_relative_to(_TESTS_DIR):
             item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
             item.add_marker(pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"))
             item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
             item.add_marker(pytest.mark.filterwarnings("error::DeprecationWarning"))
+            item.add_marker(pytest.mark.filterwarnings("error::UserWarning"))
             # Hypothesis imports libcst to report a failing example, and libcst's
             # import warns about mypy_extensions.TypedDict; as an error it would
             # end the session instead of reporting the failure.
@@ -128,6 +130,17 @@ def predict_block(
 def make_dataset(rows) -> Dataset:
     """Rows of (height, size, n_in, n_out, n_spend, n_output, n_js, time_us), in any height order."""
     return Dataset.from_columns({c: [row[i] for row in rows] for i, c in enumerate(COLUMNS)})
+
+
+def assert_row_table(ds: Dataset) -> None:
+    """Assert that *ds* holds one read-only C-order (n, 8) int64 table and each column attribute views it."""
+    table = ds.table
+    assert table.shape == (len(ds), len(COLUMNS)) and table.dtype == np.int64
+    assert table.flags.c_contiguous and not table.flags.writeable
+    for j, c in enumerate(COLUMNS):
+        column = getattr(ds, c)
+        assert np.shares_memory(column, table) and np.array_equal(column, table[:, j])
+        assert not column.flags.writeable
 
 
 def rows(ds: Dataset) -> list[tuple]:
@@ -275,13 +288,18 @@ def _row_columns(raw: bytes, path) -> dict[str, np.ndarray]:
     return _checked_columns(rows, linenos, path)
 
 
+# The README's value rules: sizes and times are > 0, heights and counts >= 0.
+_POSITIVE = {"size_bytes", "verify_time_us"}
+
+
 def _checked_columns(rows: list[list[int]], linenos: list[int], path) -> dict[str, np.ndarray]:
+    for row, lineno in zip(rows, linenos):  # row by row, then column by column
+        for name, value in zip(COLUMNS, row):
+            if value <= 0 if name in _POSITIVE else value < 0:
+                rule = "> 0" if name in _POSITIVE else ">= 0"
+                raise IntegrityError(f"{path}:{lineno}: {name} must be {rule}, got {value}")
     table = np.array(rows, dtype=np.int64).reshape(-1, len(COLUMNS))
     columns = dict(zip(COLUMNS, table.T))
-    violation = first_violation(columns)
-    if violation is not None:
-        i, message = violation
-        raise IntegrityError(f"{path}:{linenos[i]}: {message}")
     # A stable sort keeps equal heights in file order: each repeat follows its first line.
     order = np.argsort(columns["height"], kind="stable")
     heights = columns["height"][order]

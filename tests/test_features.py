@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from joist import (
@@ -16,7 +17,7 @@ from joist.features import COLUMNS, COUNT_COLUMNS, FEATURE_COLUMNS
 from joist.ingest import _block_row
 from joist.models import PREDICTORS
 
-from conftest import make_dataset
+from conftest import assert_row_table, make_dataset
 
 
 def _tx(n_in=0, n_out=0, n_spend=0, n_output=0, n_js=0, coinbase=False):
@@ -154,11 +155,30 @@ def test_dataset_from_columns_rejects_a_column_of_another_length(heights, sizes)
         Dataset.from_columns(columns)
 
 
+@pytest.mark.parametrize(
+    "build, heights",
+    [(Dataset, [1, 2, 3]), (Dataset.from_columns, [1, 2, 3]), (Dataset.from_columns, [3, 1, 2])],
+    ids=["init", "from_columns-sorted", "from_columns-unsorted"],
+)
+def test_constructors_copy_the_callers_columns_into_one_row_table(build, heights):
+    columns = {c: np.array([v1, v2, v3]) for c, v1, v2, v3 in zip(COLUMNS, *(_row(h, 10 + h) for h in heights))}
+    ds = build(columns)
+    expected = ds.table.copy()
+    assert_row_table(ds)
+    for column in columns.values():
+        assert not np.shares_memory(column, ds.table)
+        column[:] = 7
+    assert np.array_equal(ds.table, expected)
+    assert ds.height.tolist() == [1, 2, 3] and ds.verify_time_us.tolist() == [11, 12, 13]
+
+
 def test_take_returns_read_only_copies_of_the_chosen_rows():
     ds = make_dataset([_row(h, time_us=10 + h) for h in range(1, 7)])
     taken = ds.take([0, 2, 5])
     assert taken.height.tolist() == [1, 3, 6] and taken.verify_time_us.tolist() == [11, 13, 16]
     assert taken == Dataset({c: getattr(ds, c)[[0, 2, 5]] for c in COLUMNS})
+    assert_row_table(taken)
+    assert not np.shares_memory(taken.table, ds.table)
     for c in COLUMNS:
         with pytest.raises(ValueError):
             getattr(taken, c)[0] = 1

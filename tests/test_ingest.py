@@ -38,6 +38,7 @@ from conftest import (
     TXID_ENTRY_HEIGHT,
     ZERO_SIZE_HEIGHT,
     _RpcHandler,
+    assert_row_table,
     make_dataset,
 )
 
@@ -54,7 +55,9 @@ def test_round_trip_is_identity(tmp_path):
     ds = make_dataset(_ROWS)
     file = tmp_path / "ds.csv"
     write_dataset(ds, file)
-    assert read_dataset(file) == ds
+    read = read_dataset(file)
+    assert read == ds
+    assert_row_table(read)
 
 
 def test_written_file_is_lf_terminated_ascii_integers(tmp_path):
@@ -114,10 +117,14 @@ def test_read_rejects_non_integer_fields(tmp_path):
         read_dataset(path)
 
 
-def test_read_rejects_wrong_field_count(tmp_path):
+@pytest.mark.parametrize("n_rows", [1, 2])
+@pytest.mark.parametrize("n_fields", [7, 9])
+def test_read_rejects_wrong_field_count(tmp_path, n_fields, n_rows):
+    # Rows of one width that is not 8 parse as a table; the first line is still named.
     path = tmp_path / "ds.csv"
-    path.write_text(CSV_HEADER + "\n100,285,0,2,0,0,0\n")
-    with pytest.raises(FormatError, match="8 fields"):
+    rows = [",".join([str(100 + k)] + ["5"] * (n_fields - 1)) for k in range(n_rows)]
+    path.write_text("\n".join([CSV_HEADER, *rows, ""]))
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:2: expected 8 fields, got {n_fields}$"):
         read_dataset(path)
 
 
@@ -133,7 +140,9 @@ def test_read_sorts_unsorted_rows(tmp_path):
     path.write_text(
         CSV_HEADER + "\n102,4820,1,4,0,0,3,41002\n100,285,0,2,0,0,0,1807\n"
     )
-    assert read_dataset(path).height.tolist() == [100, 102]
+    ds = read_dataset(path)
+    assert ds.height.tolist() == [100, 102]
+    assert_row_table(ds)
 
 
 @pytest.mark.parametrize(
