@@ -45,9 +45,6 @@ _DECODED_TX_VERBOSITY = 2
 # A dataset CSV field: plain ASCII digits with an optional minus sign, which
 # parses so that a negative value is named by the rule it breaks.
 _FIELD = re.compile(r"-?[0-9]+")
-# A dataset row of eight fields below 9 * 10**18, which fit int64, with any leading zeros;
-# each field matches in one way only, so a bad line cannot make the match backtrack without end.
-_ROW = re.compile(rb",".join([rb"-?0*(?:[1-9][0-9]{0,17}|[1-8][0-9]{18}|0)"] * 8))
 _INT64 = np.iinfo(np.int64)
 # Most digits an int64 has, after its sign and leading zeros.
 _INT64_DIGITS = len(str(_INT64.max))
@@ -267,15 +264,18 @@ def _loadtxt(text: bytes) -> np.ndarray:
 def _line_table(body: bytes, path, table: np.ndarray | None) -> np.ndarray:
     """The body's table, checked, or the error of its first bad line.
 
-    Unless numpy parsed *table* from the whole body, only the lines that
-    _ROW rejects are parsed field by field; the first that fails is the bad
-    line, and the lines before it are read and checked before it is named.
+    Unless numpy parsed *table* from the whole body, only the lines that the
+    row pattern rejects are parsed field by field; the first that fails is the
+    bad line, and the lines before it are read and checked before it is named.
     """
     lines = body.split(b"\n")
     error = None
     if table is None:
+        # A row of eight fields below 9 * 10**18, which fit int64, with any leading zeros; each
+        # field matches in one way only, so a bad line cannot make the match backtrack without end.
+        row = re.compile(rb",".join([rb"-?0*(?:[1-9][0-9]{0,17}|[1-8][0-9]{18}|0)"] * 8))
         for k, line in enumerate(lines):
-            if line and not _ROW.fullmatch(line):
+            if line and not row.fullmatch(line):
                 where, parts = f"{path}:{k + 2}", line.decode().split(",")
                 try:
                     if len(parts) != len(COLUMNS):

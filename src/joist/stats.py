@@ -12,8 +12,9 @@ statistic is bit-equal to its per-element definition with ``math.fsum`` over
 ``[v ** 2 for v in d]``. Two numpy kernels give those bits without a Python
 call per element:
 
-* :func:`exact_sum` adds float64 mantissas as integers per binary exponent
-  and rounds the exact total once, which is what ``math.fsum`` returns.
+* :func:`exact_sum` adds float64 mantissas as integers per binary exponent and
+  rounds the exact total once, as ``math.fsum`` does. Blocks of up to 2**26
+  values add exactly, so it goes in blocks of ``_BLOCK`` with the same bits.
 * :func:`squares` returns ``d * d`` where that provably equals libm
   ``pow(v, 2)``. glibc's ``pow`` is within 0.54 ulp of the exact value, so it
   can differ from the correctly rounded ``d * d`` only when the exact square
@@ -50,53 +51,52 @@ def _floats(x: ArrayLike) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-# bincount adds its float64 weights in float64; with halves below 2**27 the
-# per-exponent totals stay exact integers below 2**53 up to this many values.
-_EXACT_SUM_MAX_N = 1 << 26
+# Values per block of the exact reductions: bincount's float64 per-exponent
+# totals of halves below 2**27 stay exact for any block of up to 2**26 values.
+_BLOCK = 1 << 16
+# frexp's least exponent, that of the least subnormal 2**-1074 = 0.5 * 2**-1073.
+_E_MIN = -1073
+
+
+def _blocked_sum(x: np.ndarray, square: bool) -> float:
+    """The exactly rounded sum of *x*, or of its squares, one block at a time."""
+    require_finite(x, "values to sum")
+    total = 0  # in units of 2**(_E_MIN - 53), a multiple of every float
+    for start in range(0, x.size, _BLOCK):
+        block = x[start : start + _BLOCK]
+        if square:
+            block = squares(block)
+        # v = m * 2**e with m a 53-bit integer over 2**53; split m into a 26-bit
+        # high and a 27-bit low part, both integer-valued floats.
+        m, e = np.frexp(block)
+        e_min = int(e.min())
+        bins = (e - e_min).astype(np.intp)
+        high = np.trunc(m * 2.0**26)
+        low = (m * 2.0**26 - high) * 2.0**27
+        for k, (h, lo) in enumerate(zip(np.bincount(bins, high).tolist(), np.bincount(bins, low).tolist())):
+            if h or lo:
+                total += ((int(h) << 27) + int(lo)) << (k + e_min - _E_MIN)
+    if total == 0 and not square and np.signbit(x).all():  # every value is -0.0, or there is none
+        return fsum(x[:1].tolist())  # with fsum's sign for a sum of -0.0; a square is never -0.0
+    try:  # int true division rounds correctly, half to even
+        return total / (1 << (53 - _E_MIN))
+    except OverflowError:
+        raise NumericalError("sum is beyond float range") from None
 
 
 def exact_sum(x: ArrayLike) -> float:
-    """The exactly rounded sum of *x*: ``math.fsum(x.tolist())``.
-
-    Where fsum fails on an intermediate overflow, this returns the exact sum
-    if that fits in a float; only arrays of 2**26 or more values, which are
-    passed to fsum itself, still fail there.
+    """The exactly rounded sum of *x*: ``math.fsum(x.tolist())``, or the exact
+    sum where fsum fails on an intermediate overflow.
 
     Raises:
-        NumericalError: if a value is not finite or the sum is beyond float
-            range.
+        NumericalError: if a value is not finite or the sum is beyond float range.
     """
-    x = _floats(x).ravel()
-    if not np.isfinite(x).all():
-        raise NumericalError("cannot sum non-finite values")
-    if x.size >= _EXACT_SUM_MAX_N:
-        try:
-            return fsum(x.tolist())
-        except OverflowError:
-            raise NumericalError("sum overflowed") from None
-    # x = m * 2**e with m a 53-bit integer over 2**53; split m into a 26-bit
-    # high and a 27-bit low part, both integer-valued floats.
-    m, e = np.frexp(x)
-    e_min = int(e.min()) if x.size else 0
-    bins = (e - e_min).astype(np.intp)
-    m *= 2.0**26
-    high = np.trunc(m)
-    m -= high
-    m *= 2.0**27
-    total = 0
-    for k, (h, lo) in enumerate(zip(np.bincount(bins, high).tolist(), np.bincount(bins, m).tolist())):
-        if h or lo:
-            total += ((int(h) << 27) + int(lo)) << k
-    if total == 0:
-        try:
-            return fsum(x.tolist())  # keeps fsum's sign of zero
-        except OverflowError:
-            return 0.0
-    shift = e_min - 53
-    try:  # int true division rounds correctly, half to even
-        return (total << shift) / 1 if shift >= 0 else total / (1 << -shift)
-    except OverflowError:
-        raise NumericalError("sum is beyond float range") from None
+    return _blocked_sum(_floats(x).ravel(), square=False)
+
+
+def sum_squares(d: ArrayLike) -> float:
+    """``math.fsum([v ** 2 for v in d])``: :func:`exact_sum` of :func:`squares`, one block of *d* at a time."""
+    return _blocked_sum(_floats(d).ravel(), square=True)
 
 
 # Veltkamp's splitter for float64: a * (2**27 + 1) splits a into 26 + 27 bits.
@@ -149,7 +149,7 @@ def centred(x: ArrayLike) -> Centred:
     x = _floats(x)
     mean = exact_sum(x) / len(x)
     deviations = x - mean
-    return Centred(mean, deviations, exact_sum(squares(deviations)))
+    return Centred(mean, deviations, sum_squares(deviations))
 
 
 def require_finite(values: np.ndarray, what: str) -> None:
@@ -224,7 +224,7 @@ def evaluate(t: ArrayLike, t_hat: ArrayLike, n_predictors: int) -> EvalReport:
         raise DegenerateVarianceError("observed series is constant; R^2 undefined")
     # |t - t_hat| squares to the same bits as t - t_hat: pow squares |v|.
     abs_errors = np.abs(t - t_hat)
-    r2 = 1.0 - exact_sum(squares(abs_errors)) / observed.sum_squares
+    r2 = 1.0 - sum_squares(abs_errors) / observed.sum_squares
     max_prediction_us = float(t_hat.max())
     mae_us = exact_sum(abs_errors) / n
     if observed.mean <= 0.0:

@@ -10,6 +10,7 @@ import os
 import re
 import socket
 import threading
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Mapping
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 import joist
-from joist import Dataset, FormatError, IntegrityError, ModelKind, ModelSpec, SynthSpec, predict
+from joist import Dataset, FormatError, IntegrityError, ModelKind, ModelSpec, SynthSpec, predict, stats
 from joist.features import COLUMNS, FEATURE_COLUMNS
 from joist.ingest import CSV_HEADER
 from joist.models import PREDICTORS
@@ -183,6 +184,19 @@ def subprocess_env() -> dict[str, str]:
     """The environment for a fresh interpreter that imports this checkout's joist."""
     src = str(Path(joist.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@contextmanager
+def small_blocks(size: int):
+    """Run the exact reductions of ``joist.stats`` in blocks of *size* values,
+    so that every longer array spans several blocks; the block size is the
+    default again on exit."""
+    default = stats._BLOCK
+    stats._BLOCK = size
+    try:
+        yield
+    finally:
+        stats._BLOCK = default
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ import sys
 import numpy as np
 import pytest
 
+from joist import stats
 from joist.cli import main
 
-from conftest import subprocess_env
+from conftest import small_blocks, subprocess_env
 
 _PINNED_ON = ("2.4.6", "x86_64")
 
@@ -78,10 +79,14 @@ def _run_chain(work, capsys) -> dict[str, str]:
     return digests
 
 
-def test_seeded_cli_chain_bytes(tmp_path, capsys):
+# At the default size every column of the chain is one block of the exact
+# sums; at three values each spans hundreds, and the bytes must not change.
+@pytest.mark.parametrize("block", [stats._BLOCK, 3])
+def test_seeded_cli_chain_bytes(tmp_path, capsys, block):
     if (np.__version__, platform.machine()) != _PINNED_ON:
         pytest.skip(f"pins recorded on numpy/machine {_PINNED_ON}")
-    assert _run_chain(tmp_path, capsys) == _EXPECTED
+    with small_blocks(block):
+        assert _run_chain(tmp_path, capsys) == _EXPECTED
 
 
 def test_synth_bytes_across_write_chunks(tmp_path, capsys):
