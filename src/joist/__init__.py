@@ -22,8 +22,8 @@ _PUBLIC = {
         "ShapeError", "SynthSpecError", "UnsupportedKindError",
     ),
     "experiment": (
-        "ComparisonRow", "CompositionReport", "SplitPlan", "SynthSpec", "composition_analysis",
-        "correlation_table", "emit_plot_data", "generate_synthetic", "run_comparison", "split",
+        "ComparisonRow", "CompositionReport", "SplitPlan", "SynthSpec", "composition_analysis", "correlation_table",
+        "emit_plot_data", "generate_synthetic", "load_synth_spec", "run_comparison", "split",
     ),
     "features": ("Dataset", "extract_tx_features"),
     "fit": ("FitResult", "ols_fit"),

@@ -14,15 +14,13 @@ import gc
 import os
 import re
 import sys
-from collections.abc import Mapping
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import FormatError, JoistError, NumericalError, RemoteError
+from .errors import JoistError, NumericalError, RemoteError
 
 # The modules that need numpy, and json, are imported by the command that uses them,
 # when it runs, so that `--help` and usage errors do not load them.
 if TYPE_CHECKING:
-    from .experiment import SynthSpec
     from .ingest import RpcEndpoint
 
 ENV_RPC_URL = "JOIST_RPC_URL"
@@ -107,60 +105,11 @@ def _cmd_fetch(args) -> int:
     return EXIT_OK
 
 
-def _synth_spec_from_json(doc) -> SynthSpec:
-    from .experiment import SynthSpec
-    from .models import finite_float, from_json_dict
-
-    if not isinstance(doc, Mapping):
-        raise FormatError("synthesis spec must be a JSON object")
-    true_model_doc = doc.get("true_model")
-    if true_model_doc is None:
-        raise FormatError('synthesis spec missing "true_model"')
-    true_model = from_json_dict(true_model_doc)
-
-    noise = finite_float(doc.get("noise_sigma_us"), 'synthesis spec missing finite numeric "noise_sigma_us"')
-
-    ranges_doc = doc.get("count_ranges")
-    if not isinstance(ranges_doc, Mapping):
-        raise FormatError('synthesis spec missing "count_ranges" object')
-    ranges = {}
-    for name, pair in ranges_doc.items():
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise FormatError(f"count range for {name!r} must be a [lo, hi] pair")
-        lo, hi = pair
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in pair):
-            raise FormatError(f"count range for {name!r} must hold integers")
-        ranges[str(name)] = (lo, hi)
-
-    n_blocks = doc.get("n_blocks")
-    if not isinstance(n_blocks, int) or isinstance(n_blocks, bool):
-        raise FormatError('synthesis spec missing integer "n_blocks"')
-    seed = doc.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise FormatError('synthesis spec missing integer "seed"')
-
-    return SynthSpec(
-        true_model=true_model,
-        noise_sigma_us=noise,
-        count_ranges=ranges,
-        n_blocks=n_blocks,
-        seed=seed,
-    )
-
-
 def _cmd_synth(args) -> int:
-    import json
-
-    from .experiment import generate_synthetic
+    from .experiment import generate_synthetic, load_synth_spec
     from .ingest import write_dataset
 
-    try:
-        with open(args.spec, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge number, deep nesting
-        raise FormatError(f"{args.spec}: not valid JSON: {exc}") from exc
-    spec = _synth_spec_from_json(doc)
-    ds = generate_synthetic(spec)
+    ds = generate_synthetic(load_synth_spec(args.spec))
     write_dataset(ds, args.out)
     print(f"wrote {len(ds)} synthetic samples to {args.out}", file=sys.stderr)
     return EXIT_OK

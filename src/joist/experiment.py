@@ -8,7 +8,7 @@ alone.
 
 from __future__ import annotations
 
-import math
+import sys
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    DataError,
     DegenerateVarianceError,
     IntegrityError,
     RankDeficiencyError,
@@ -50,10 +51,20 @@ class SplitPlan(Record):
     n_fit: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed <= _MAX_SEED:
-            raise IntegrityError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.n_fit < 1:
-            raise IntegrityError("n_fit and n_predict must both be >= 1")
+        if not (_is_int(self.seed) and 0 <= self.seed <= _MAX_SEED):
+            raise IntegrityError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        if not (_is_int(self.n_fit) and self.n_fit >= 1):
+            raise IntegrityError(f"n_fit must be an integer >= 1, got {self.n_fit!r}")
+
+
+def _is_int(value) -> bool:
+    """Whether *value* is an int but not a bool, which Python counts as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """Whether *value* is an int or float (not a bool) that a finite float can hold."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def split(ds: Dataset, plan: SplitPlan) -> tuple[Dataset, Dataset]:
@@ -223,7 +234,12 @@ class SynthSpec(Record):
     """Recipe for a synthetic dataset with known ground truth.
 
     ``count_ranges`` maps each feature-model predictor name to an inclusive
-    integer (lo, hi) range; counts are drawn uniformly per block.
+    integer [lo, hi] pair (a list or tuple); counts are drawn uniformly per block.
+
+    Raises:
+        SynthSpecError: if a field has the wrong type or is out of range, if the
+            count ranges allow block sizes beyond int64, or if the true model
+            value is <= 0 over the entire count box, so no time can be positive.
     """
 
     true_model: ModelSpec
@@ -233,25 +249,59 @@ class SynthSpec(Record):
     seed: int
 
     def __post_init__(self) -> None:
-        from .models import PREDICTORS, ModelKind
+        from .models import PREDICTORS, ModelKind, ModelSpec
 
-        if self.true_model.kind is not ModelKind.JOIST:
-            raise SynthSpecError("true_model must be of the joist kind")
-        if not 0 <= self.noise_sigma_us < math.inf:
-            raise SynthSpecError(f"noise_sigma_us must be finite and >= 0, got {self.noise_sigma_us}")
-        model = self.true_model
-        if not all(map(math.isfinite, [model.intercept_us, *model.coefficients.values()])):
-            raise SynthSpecError("true_model intercept and coefficients must be finite")
-        if self.n_blocks < 1:
-            raise SynthSpecError(f"n_blocks must be >= 1, got {self.n_blocks}")
-        if not 0 <= self.seed <= _MAX_SEED:
-            raise SynthSpecError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        expected = set(PREDICTORS[ModelKind.JOIST])
-        if set(self.count_ranges) != expected:
-            raise SynthSpecError(f"count_ranges must have exactly the keys {sorted(expected)}")
-        for name, (lo, hi) in self.count_ranges.items():
+        model, ranges = self.true_model, self.count_ranges
+        if not (isinstance(model, ModelSpec) and model.kind is ModelKind.JOIST):
+            raise SynthSpecError("true_model must be a ModelSpec of the joist kind")
+        if not all(map(_is_real, [model.intercept_us, *model.coefficients.values()])):
+            raise SynthSpecError("true_model intercept and coefficients must be finite numbers")
+        if not (_is_real(self.noise_sigma_us) and self.noise_sigma_us >= 0):
+            raise SynthSpecError(f"noise_sigma_us must be a finite number >= 0, got {self.noise_sigma_us!r}")
+        if not (_is_int(self.n_blocks) and self.n_blocks >= 1):
+            raise SynthSpecError(f"n_blocks must be an integer >= 1, got {self.n_blocks!r}")
+        if not (_is_int(self.seed) and 0 <= self.seed <= _MAX_SEED):
+            raise SynthSpecError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        names = PREDICTORS[ModelKind.JOIST]
+        if not (isinstance(ranges, Mapping) and set(ranges) == set(names)):
+            raise SynthSpecError(f"count_ranges must be a mapping with exactly the keys {sorted(names)}")
+        for name, pair in ranges.items():
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise SynthSpecError(f"count range for {name!r} must be a [lo, hi] pair")
+            if not all(map(_is_int, pair)):
+                raise SynthSpecError(f"count range for {name!r} must hold integers")
+            lo, hi = pair
             if lo < 0 or hi < lo:
                 raise SynthSpecError(f"bad range for {name!r}: [{lo}, {hi}]")
+        # First, so that the bounds below convert to floats; the size may be too long for str().
+        if _SYNTH_BASE_BYTES + sum(_SYNTH_BYTES[n] * ranges[n][1] for n in names) > _INT64_MAX:
+            raise SynthSpecError("count ranges allow block sizes beyond int64")
+        best = model.intercept_us
+        for name in names:
+            c, (lo, hi) = model.coefficients[name], ranges[name]
+            best += c * (hi if c >= 0 else lo)
+        if best <= 0:
+            raise SynthSpecError(f"count ranges force non-positive times (best achievable model value {best})")
+
+
+def load_synth_spec(path: str | Path) -> SynthSpec:
+    """The synthesis recipe in the JSON file at *path*: an object with every SynthSpec
+    field, whose ``true_model`` is a model document (see :func:`joist.load_model`).
+
+    Raises:
+        FormatError: if the file is not valid JSON.
+        SynthSpecError: for any other fault in the recipe.
+    """
+    from .models import _read_json, from_json_dict
+
+    doc = _read_json(path)
+    if not (isinstance(doc, dict) and doc.keys() >= set(SynthSpec._fields)):
+        raise SynthSpecError(f"{path}: a recipe is a JSON object with the fields {', '.join(SynthSpec._fields)}")
+    try:
+        true_model = from_json_dict(doc["true_model"])
+    except DataError as exc:
+        raise SynthSpecError(f"true_model: {exc}") from exc
+    return SynthSpec(true_model, *(doc[name] for name in SynthSpec._fields[1:]))
 
 
 def generate_synthetic(spec: SynthSpec) -> Dataset:
@@ -264,33 +314,14 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     relative noise, so byte-rate models stay correlated but inferior.
 
     Raises:
-        SynthSpecError: if the recipe can never produce a positive time (the
-            true model value is <= 0 over the entire count box), if its count
-            ranges allow block sizes beyond int64, if n_blocks is too large
-            for one draw buffer, or if a drawn time or size is not finite or
-            does not fit in int64.
+        SynthSpecError: if n_blocks is too large for one draw buffer, or if a
+            drawn time or size is not finite or does not fit in int64.
     """
     from .models import PREDICTORS, ModelKind
     from .rng import gaussians, splitmix64
 
     names = PREDICTORS[ModelKind.JOIST]
-    # First, so that the bounds below convert to floats; the size may be too long for str().
-    max_size = _SYNTH_BASE_BYTES + sum(_SYNTH_BYTES[n] * spec.count_ranges[n][1] for n in names)
-    if max_size > _INT64_MAX:
-        raise SynthSpecError("count ranges allow block sizes beyond int64")
-
     coeffs = spec.true_model.coefficients
-    best = spec.true_model.intercept_us
-    for name in names:
-        lo, hi = spec.count_ranges[name]
-        best += coeffs[name] * (hi if coeffs[name] >= 0 else lo)
-    if best <= 0:
-        raise SynthSpecError(
-            f"count ranges force non-positive times (best achievable model value {best})"
-        )
-
-    lo = {name: spec.count_ranges[name][0] for name in names}
-    span = {name: spec.count_ranges[name][1] - lo[name] + 1 for name in names}
 
     # Eight raw draws per block, in the documented order. numpy refuses a
     # buffer beyond its size limit or the address space before touching memory.
@@ -298,10 +329,10 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
         draws = splitmix64(spec.seed, 8 * spec.n_blocks).reshape(spec.n_blocks, 8)
     except (ValueError, MemoryError) as exc:
         raise SynthSpecError(f"n_blocks {spec.n_blocks} is too large to draw: {exc}") from exc
-    counts = {
-        name: lo[name] + (draws[:, i] % np.uint64(span[name])).astype(np.int64)
-        for i, name in enumerate(names)
-    }
+    counts = {}
+    for i, name in enumerate(names):
+        lo, hi = spec.count_ranges[name]
+        counts[name] = lo + (draws[:, i] % np.uint64(hi - lo + 1)).astype(np.int64)
     affine_size = _SYNTH_BASE_BYTES + sum(_SYNTH_BYTES[n] * counts[n] for n in names)
     affine_size = affine_size.astype(np.float64)
     # Overflow to inf is caught by _rounded_at_least_one, not warned about.

@@ -12,7 +12,7 @@ Everything that touches wire or file formats lives in :mod:`joist.ingest`.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -68,7 +68,7 @@ class Dataset:
 
     def __init__(self, data: Mapping[str, ArrayLike]):
         """Build from a mapping of every name in COLUMNS to a column."""
-        self._hold(_checked(_stacked(data)))
+        self._hold(_checked(_stacked(data, COLUMNS)))
 
     def _hold(self, table: np.ndarray) -> None:
         """Make *table*, whose rows keep the value rules, this dataset's once its heights strictly increase."""
@@ -111,7 +111,7 @@ class Dataset:
     @classmethod
     def from_columns(cls, columns: Mapping[str, ArrayLike]) -> "Dataset":
         """Build a dataset from columns with rows in any order (stably sorted by height here)."""
-        return cls._from_table(_stacked(columns))
+        return cls._from_table(_stacked(columns, COLUMNS))
 
     @classmethod
     def _from_table(cls, table: np.ndarray) -> "Dataset":
@@ -124,13 +124,13 @@ class Dataset:
         return ds
 
 
-def _stacked(data: Mapping[str, ArrayLike]) -> np.ndarray:
-    """A new (n, 8) int64 table of the mapping's columns, in COLUMNS order."""
+def _stacked(data: Mapping[str, ArrayLike], names: Sequence[str]) -> np.ndarray:
+    """A new (n, len(names)) int64 table of the mapping's columns *names*, in that order."""
     n = len(data["height"])
     if n < 1:
         raise IntegrityError("a dataset needs at least one sample")
-    table = np.empty((n, len(COLUMNS)), dtype=np.int64)
-    for j, name in enumerate(COLUMNS):
+    table = np.empty((n, len(names)), dtype=np.int64)
+    for j, name in enumerate(names):
         col = np.asarray(data[name])
         if col.shape != (n,):
             raise IntegrityError(f"column {name} has shape {col.shape}, expected ({n},)")

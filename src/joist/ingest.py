@@ -34,7 +34,7 @@ from .errors import (
     Record,
     RpcConnectionError,
 )
-from .features import COLUMNS, Dataset, _checked, extract_tx_features, first_violation
+from .features import COLUMNS, Dataset, _checked, _stacked, extract_tx_features, first_violation
 from .output import _atomic_write, _csv_chunks
 
 CSV_HEADER = ",".join(COLUMNS)
@@ -208,10 +208,11 @@ def write_features_csv(columns: Mapping[str, np.ndarray], path: str | Path) -> N
     merged in.
 
     Raises:
-        IntegrityError: a value breaks its column's rule (the first such row
-            in height order is named); nothing is written.
+        IntegrityError: a column is not n whole numbers within int64 (n the
+            height count), or a value breaks its column's rule (the first such
+            row in height order is named); nothing is written.
     """
-    table = np.stack([np.asarray(columns[c], dtype=np.int64) for c in COLUMNS[:-1]], axis=1)
+    table = _stacked(columns, COLUMNS[:-1])
     table = _checked(table[np.argsort(table[:, 0], kind="stable")])
     _atomic_write(path, _csv_chunks(CSV_HEADER, [*table.T, np.zeros(len(table), dtype=np.int64)]))
 

@@ -144,11 +144,15 @@ def save_model(model: ModelSpec, path: str | Path) -> None:
     _atomic_write(path, [(text + "\n").encode()])
 
 
-def load_model(path: str | Path) -> ModelSpec:
+def _read_json(path: str | Path):
+    """The document in the JSON file at *path*; FormatError if the file is not valid JSON."""
     import json
 
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge number, deep nesting
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    return from_json_dict(doc)
+
+
+def load_model(path: str | Path) -> ModelSpec:
+    return from_json_dict(_read_json(path))

@@ -56,6 +56,7 @@ PUBLIC_NAMES = [
     "fetch_block_features",
     "generate_synthetic",
     "load_model",
+    "load_synth_spec",
     "n_predictors",
     "ols_fit",
     "predict",
@@ -120,6 +121,16 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     exec(example, names)
     assert len(names["fit_set"]) == 5000
     assert names["report"].n == 1000
+
+
+def test_readme_file_formats_load(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    model_doc, recipe_doc = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    (tmp_path / "model.json").write_text(model_doc)
+    (tmp_path / "recipe.json").write_text(recipe_doc)
+    assert joist.load_model(tmp_path / "model.json").kind is joist.ModelKind.JOIST
+    spec = joist.load_synth_spec(tmp_path / "recipe.json")
+    assert len(generate_synthetic(spec)) == spec.n_blocks == 15000
 
 
 # Each record type with the value of every field it needs, by keyword in field order,

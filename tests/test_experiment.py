@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from joist import (
+    FormatError,
     GERVAIS_BASELINE,
     IntegrityError,
     ModelKind,
@@ -19,11 +20,13 @@ from joist import (
     correlation_table,
     emit_plot_data,
     generate_synthetic,
+    load_synth_spec,
     run_comparison,
     split,
     write_dataset,
 )
 from joist.experiment import COMPARISON_CSV_HEADER, comparison_csv_lines
+from joist.models import to_json_dict
 
 from conftest import ScalarSplitMix64, default_synth_spec, make_dataset, next_int, scalar_shuffle
 
@@ -87,6 +90,14 @@ def test_split_plan_invariants():
         SplitPlan(seed=-1, n_fit=1)
     with pytest.raises(IntegrityError):
         SplitPlan(seed=1 << 64, n_fit=1)
+    with pytest.raises(IntegrityError, match="^seed must be an unsigned 64-bit integer, got 1.5$"):
+        SplitPlan(seed=1.5, n_fit=1)
+    with pytest.raises(IntegrityError, match="^seed must be an unsigned 64-bit integer, got True$"):
+        SplitPlan(seed=True, n_fit=1)
+    with pytest.raises(IntegrityError, match="^n_fit must be an integer >= 1, got 5.5$"):
+        SplitPlan(seed=1, n_fit=5.5)
+    with pytest.raises(IntegrityError, match="^n_fit must be an integer >= 1, got '5'$"):
+        SplitPlan(seed=1, n_fit="5")
 
 
 # -- run_comparison -----------------------------------------------------------
@@ -286,6 +297,74 @@ def test_synth_spec_invariants():
         )
     with pytest.raises(SynthSpecError):
         default_synth_spec(true_model=GERVAIS_BASELINE)
+
+
+_RANGES = {"joinsplit": (0, 5), "output": (0, 20), "transparent_in": (0, 200), "spend": (0, 10)}
+_NEGATIVE = ModelSpec(ModelKind.JOIST, dict.fromkeys(_RANGES, -1.0), -5.0)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seed", 1.5, "seed must be an unsigned 64-bit integer, got 1.5"),
+        ("seed", True, "seed must be an unsigned 64-bit integer, got True"),
+        ("n_blocks", 2.5, "n_blocks must be an integer >= 1, got 2.5"),
+        ("noise_sigma_us", "1", "noise_sigma_us must be a finite number >= 0, got '1'"),
+        ("noise_sigma_us", 10**400, "noise_sigma_us must be a finite number >= 0"),
+        ("true_model", {"kind": "joist"}, "true_model must be a ModelSpec of the joist kind"),
+        ("true_model", ModelSpec(ModelKind.JOIST, dict.fromkeys(_RANGES, "1"), 1.0),
+         "true_model intercept and coefficients must be finite numbers"),
+        ("count_ranges", [("joinsplit", (0, 5))], "count_ranges must be a mapping with exactly the keys"),
+        ("count_ranges", {**_RANGES, "joinsplit": (0, 2.5)}, "count range for 'joinsplit' must hold integers"),
+        ("count_ranges", {**_RANGES, "spend": (0, 1, 2)}, r"count range for 'spend' must be a \[lo, hi\] pair"),
+        ("count_ranges", {**_RANGES, "spend": 7}, r"count range for 'spend' must be a \[lo, hi\] pair"),
+        ("count_ranges", {**_RANGES, "transparent_in": (0, 2**62)}, "count ranges allow block sizes beyond int64"),
+        ("true_model", _NEGATIVE, r"count ranges force non-positive times \(best achievable model value -5.0\)"),
+    ],
+    ids=[
+        "seed-float", "seed-bool", "n_blocks-float", "noise-str", "noise-beyond-float", "model-dict",
+        "model-str-coefficient", "ranges-list", "range-float", "range-triple", "range-int", "sizes-beyond-int64",
+        "never-positive",
+    ],
+)
+def test_synth_spec_checks_field_types_and_feasibility(field, value, message):
+    # Each is refused when the SynthSpec is built, before anything is drawn.
+    with pytest.raises(SynthSpecError, match=f"^{message}"):
+        default_synth_spec(**{field: value})
+
+
+def _recipe(**overrides) -> dict:
+    spec = default_synth_spec(n_blocks=50)
+    doc = {**vars(spec), "true_model": to_json_dict(spec.true_model), "count_ranges": _RANGES}
+    return {name: value for name, value in {**doc, **overrides}.items() if value is not None}
+
+
+def test_load_synth_spec_draws_what_the_same_spec_in_code_draws(tmp_path):
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(_recipe()))
+    assert generate_synthetic(load_synth_spec(path)) == generate_synthetic(default_synth_spec(n_blocks=50))
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("[1]", SynthSpecError, "recipe.json: a recipe is a JSON object with the fields true_model, noise_sigma_us, "
+                                "count_ranges, n_blocks, seed$"),
+        (json.dumps(_recipe(seed=None)), SynthSpecError, "a recipe is a JSON object with the fields"),
+        (json.dumps(_recipe(true_model=[])), SynthSpecError, "^true_model: model document must be a JSON object$"),
+        (json.dumps(_recipe(true_model=to_json_dict(GERVAIS_BASELINE))), SynthSpecError,
+         "^true_model must be a ModelSpec of the joist kind$"),
+        (json.dumps(_recipe(count_ranges={**_RANGES, "spend": [0, True]})), SynthSpecError,
+         "^count range for 'spend' must hold integers$"),
+        ('{"seed": 1,', FormatError, "recipe.json: not valid JSON"),
+    ],
+    ids=["not-an-object", "missing-field", "model-not-an-object", "model-not-joist", "range-bool", "bad-json"],
+)
+def test_load_synth_spec_errors(tmp_path, text, error, message):
+    path = tmp_path / "recipe.json"
+    path.write_text(text)
+    with pytest.raises(error, match=message):
+        load_synth_spec(path)
 
 
 def test_synthetic_end_to_end_exact_identity():

@@ -302,6 +302,24 @@ def test_write_features_csv_rejects_bad_values_and_writes_nothing(tmp_path, colu
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "column, values, message",
+    [
+        ("n_spend", [1.7, 2.9], "column n_spend must hold integers within int64, got dtype float64"),
+        ("size_bytes", [10], r"column size_bytes has shape \(1,\), expected \(2,\)"),
+        ("n_output", [1, 2**64], "column n_output must hold integers within int64, got dtype object"),
+        ("n_joinsplit", np.array([1, 2**63], dtype=np.uint64),
+         "column n_joinsplit must hold integers within int64, got dtype uint64"),
+    ],
+    ids=["float", "ragged", "beyond-uint64", "beyond-int64"],
+)
+def test_write_features_csv_rejects_columns_that_are_not_int64(tmp_path, column, values, message):
+    columns = {c: [1, 1] for c in COLUMNS[:-1]} | {"height": [101, 102], column: values}
+    with pytest.raises(IntegrityError, match=f"^{message}$"):
+        write_features_csv(columns, tmp_path / "features.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- endpoint invariants ----------------------------------------------------
 
 def test_endpoint_invariants():

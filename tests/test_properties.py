@@ -13,8 +13,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from joist import Dataset, IntegrityError, JoistError, ModelKind, ModelSpec, load_model, read_dataset, save_model
-from joist.cli import _synth_spec_from_json, main
+from joist import (
+    Dataset, IntegrityError, JoistError, ModelKind, ModelSpec, load_model, load_synth_spec, read_dataset, save_model,
+)
+from joist.cli import main
 from joist.features import COLUMNS, COUNT_COLUMNS
 from joist.ingest import CSV_HEADER, write_dataset
 from joist.models import PREDICTORS, from_json_dict, to_json_dict
@@ -222,8 +224,10 @@ def test_arbitrary_json_gives_a_model_or_a_joist_error(doc):
         }
     )
 )
-def test_arbitrary_json_gives_a_synth_spec_or_a_joist_error(doc):
-    _outcome(lambda: _synth_spec_from_json(doc))
+def test_arbitrary_json_gives_a_synth_spec_or_a_joist_error(work, doc):
+    path = work / "recipe.json"
+    path.write_text(json.dumps(doc))
+    _outcome(lambda: load_synth_spec(path))
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
