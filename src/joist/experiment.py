@@ -8,7 +8,7 @@ alone.
 
 from __future__ import annotations
 
-import sys
+import math
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -53,18 +53,15 @@ class SplitPlan(Record):
     def __post_init__(self) -> None:
         if not (_is_int(self.seed) and 0 <= self.seed <= _MAX_SEED):
             raise IntegrityError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not (_is_int(self.n_fit) and self.n_fit >= 1):
-            raise IntegrityError(f"n_fit must be an integer >= 1, got {self.n_fit!r}")
+        if not _is_int(self.n_fit):
+            raise IntegrityError(f"n_fit must be an integer, got {self.n_fit!r}")
+        if self.n_fit < 1:
+            raise IntegrityError("n_fit and n_predict must both be >= 1")
 
 
 def _is_int(value) -> bool:
     """Whether *value* is an int but not a bool, which Python counts as one."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """Whether *value* is an int or float (not a bool) that a finite float can hold."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def split(ds: Dataset, plan: SplitPlan) -> tuple[Dataset, Dataset]:
@@ -234,7 +231,8 @@ class SynthSpec(Record):
     """Recipe for a synthetic dataset with known ground truth.
 
     ``count_ranges`` maps each feature-model predictor name to an inclusive
-    integer [lo, hi] pair (a list or tuple); counts are drawn uniformly per block.
+    integer [lo, hi] pair (a list or tuple, held as a tuple); counts are drawn
+    uniformly per block.
 
     Raises:
         SynthSpecError: if a field has the wrong type or is out of range, if the
@@ -249,14 +247,15 @@ class SynthSpec(Record):
     seed: int
 
     def __post_init__(self) -> None:
-        from .models import PREDICTORS, ModelKind, ModelSpec
+        from .models import PREDICTORS, ModelKind, ModelSpec, as_float
 
         model, ranges = self.true_model, self.count_ranges
         if not (isinstance(model, ModelSpec) and model.kind is ModelKind.JOIST):
             raise SynthSpecError("true_model must be a ModelSpec of the joist kind")
-        if not all(map(_is_real, [model.intercept_us, *model.coefficients.values()])):
-            raise SynthSpecError("true_model intercept and coefficients must be finite numbers")
-        if not (_is_real(self.noise_sigma_us) and self.noise_sigma_us >= 0):
+        if not all(map(math.isfinite, [model.intercept_us, *model.coefficients.values()])):
+            raise SynthSpecError("true_model intercept and coefficients must be finite")
+        noise = as_float(self.noise_sigma_us)
+        if noise is None or not 0 <= noise < math.inf:
             raise SynthSpecError(f"noise_sigma_us must be a finite number >= 0, got {self.noise_sigma_us!r}")
         if not (_is_int(self.n_blocks) and self.n_blocks >= 1):
             raise SynthSpecError(f"n_blocks must be an integer >= 1, got {self.n_blocks!r}")
@@ -273,6 +272,8 @@ class SynthSpec(Record):
             lo, hi = pair
             if lo < 0 or hi < lo:
                 raise SynthSpecError(f"bad range for {name!r}: [{lo}, {hi}]")
+        # Held as (lo, hi) tuples, so that a spec read from JSON equals the same spec built in code.
+        vars(self)["count_ranges"] = ranges = {name: tuple(pair) for name, pair in ranges.items()}
         # First, so that the bounds below convert to floats; the size may be too long for str().
         if _SYNTH_BASE_BYTES + sum(_SYNTH_BYTES[n] * ranges[n][1] for n in names) > _INT64_MAX:
             raise SynthSpecError("count ranges allow block sizes beyond int64")
@@ -295,8 +296,10 @@ def load_synth_spec(path: str | Path) -> SynthSpec:
     from .models import _read_json, from_json_dict
 
     doc = _read_json(path)
-    if not (isinstance(doc, dict) and doc.keys() >= set(SynthSpec._fields)):
-        raise SynthSpecError(f"{path}: a recipe is a JSON object with the fields {', '.join(SynthSpec._fields)}")
+    missing = ", ".join(name for name in SynthSpec._fields if not (isinstance(doc, dict) and name in doc))
+    if missing:
+        fields = ", ".join(SynthSpec._fields)
+        raise SynthSpecError(f"{path}: a recipe is a JSON object with the fields {fields}; missing {missing}")
     try:
         true_model = from_json_dict(doc["true_model"])
     except DataError as exc:

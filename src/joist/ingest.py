@@ -208,9 +208,9 @@ def write_features_csv(columns: Mapping[str, np.ndarray], path: str | Path) -> N
     merged in.
 
     Raises:
-        IntegrityError: a column is not n whole numbers within int64 (n the
-            height count), or a value breaks its column's rule (the first such
-            row in height order is named); nothing is written.
+        IntegrityError: a column is not n whole numbers within int64, or a value
+            breaks its column's rule (the first such row in height order is named);
+            nothing is written.
     """
     table = _stacked(columns, COLUMNS[:-1])
     table = _checked(table[np.argsort(table[:, 0], kind="stable")])

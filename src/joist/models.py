@@ -47,6 +47,14 @@ def n_predictors(kind: ModelKind) -> int:
     return len(PREDICTORS[kind])
 
 
+def as_float(value) -> float | None:
+    """*value* as a float if it is an int or float (not a bool) that a float holds, inf and NaN included."""
+    try:
+        return float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else None
+    except OverflowError:  # an int beyond float range
+        return None
+
+
 class ModelSpec(Record):
     """A fitted (or given) predictor: kind, named coefficients, intercept."""
 
@@ -62,6 +70,8 @@ class ModelSpec(Record):
                 f"model kind {self.kind.value!r} requires coefficients "
                 f"{sorted(expected)}, got {sorted(actual)}"
             )
+        if any(as_float(v) is None for v in [self.intercept_us, *self.coefficients.values()]):
+            raise IntegrityError("model intercept and coefficients must be numbers")
         if self.kind is ModelKind.FIXED_RATE and self.intercept_us != 0:
             raise IntegrityError("fixed_rate models have intercept_us fixed at 0")
 
@@ -96,15 +106,11 @@ def to_json_dict(model: ModelSpec) -> dict:
 
 
 def finite_float(value, message: str) -> float:
-    """*value* as a float if it is a finite JSON number; else FormatError(*message*)."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise FormatError(message)
+    """*value* as a float if it is a finite number (see :func:`as_float`); else FormatError(*message*)."""
+    number = as_float(value)
+    if number is None or not math.isfinite(number):
+        raise FormatError(message)
+    return number
 
 
 def from_json_dict(doc: Mapping) -> ModelSpec:

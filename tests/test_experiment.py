@@ -84,7 +84,7 @@ def test_split_matches_the_scalar_fisher_yates_reference(n, seed, data):
 
 
 def test_split_plan_invariants():
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="^n_fit and n_predict must both be >= 1$"):
         SplitPlan(seed=1, n_fit=0)
     with pytest.raises(IntegrityError):
         SplitPlan(seed=-1, n_fit=1)
@@ -94,9 +94,9 @@ def test_split_plan_invariants():
         SplitPlan(seed=1.5, n_fit=1)
     with pytest.raises(IntegrityError, match="^seed must be an unsigned 64-bit integer, got True$"):
         SplitPlan(seed=True, n_fit=1)
-    with pytest.raises(IntegrityError, match="^n_fit must be an integer >= 1, got 5.5$"):
+    with pytest.raises(IntegrityError, match="^n_fit must be an integer, got 5.5$"):
         SplitPlan(seed=1, n_fit=5.5)
-    with pytest.raises(IntegrityError, match="^n_fit must be an integer >= 1, got '5'$"):
+    with pytest.raises(IntegrityError, match="^n_fit must be an integer, got '5'$"):
         SplitPlan(seed=1, n_fit="5")
 
 
@@ -312,8 +312,6 @@ _NEGATIVE = ModelSpec(ModelKind.JOIST, dict.fromkeys(_RANGES, -1.0), -5.0)
         ("noise_sigma_us", "1", "noise_sigma_us must be a finite number >= 0, got '1'"),
         ("noise_sigma_us", 10**400, "noise_sigma_us must be a finite number >= 0"),
         ("true_model", {"kind": "joist"}, "true_model must be a ModelSpec of the joist kind"),
-        ("true_model", ModelSpec(ModelKind.JOIST, dict.fromkeys(_RANGES, "1"), 1.0),
-         "true_model intercept and coefficients must be finite numbers"),
         ("count_ranges", [("joinsplit", (0, 5))], "count_ranges must be a mapping with exactly the keys"),
         ("count_ranges", {**_RANGES, "joinsplit": (0, 2.5)}, "count range for 'joinsplit' must hold integers"),
         ("count_ranges", {**_RANGES, "spend": (0, 1, 2)}, r"count range for 'spend' must be a \[lo, hi\] pair"),
@@ -322,9 +320,8 @@ _NEGATIVE = ModelSpec(ModelKind.JOIST, dict.fromkeys(_RANGES, -1.0), -5.0)
         ("true_model", _NEGATIVE, r"count ranges force non-positive times \(best achievable model value -5.0\)"),
     ],
     ids=[
-        "seed-float", "seed-bool", "n_blocks-float", "noise-str", "noise-beyond-float", "model-dict",
-        "model-str-coefficient", "ranges-list", "range-float", "range-triple", "range-int", "sizes-beyond-int64",
-        "never-positive",
+        "seed-float", "seed-bool", "n_blocks-float", "noise-str", "noise-beyond-float", "model-dict", "ranges-list",
+        "range-float", "range-triple", "range-int", "sizes-beyond-int64", "never-positive",
     ],
 )
 def test_synth_spec_checks_field_types_and_feasibility(field, value, message):
@@ -339,18 +336,35 @@ def _recipe(**overrides) -> dict:
     return {name: value for name, value in {**doc, **overrides}.items() if value is not None}
 
 
-def test_load_synth_spec_draws_what_the_same_spec_in_code_draws(tmp_path):
+def test_synth_spec_holds_count_ranges_as_tuples():
+    spec = default_synth_spec(count_ranges={name: list(pair) for name, pair in _RANGES.items()})
+    assert spec.count_ranges == _RANGES and spec == default_synth_spec(count_ranges=_RANGES)
+
+
+def test_synth_spec_noise_is_a_number_a_float_holds():
+    # The same rule as a model file's numbers: an int that rounds to the largest float is taken.
+    assert default_synth_spec(noise_sigma_us=2**1024 - 2**970 - 1).noise_sigma_us == 2**1024 - 2**970 - 1
+    with pytest.raises(SynthSpecError, match="noise_sigma_us"):
+        default_synth_spec(noise_sigma_us=2**1024 - 2**970)
+
+
+def test_load_synth_spec_equals_the_same_spec_in_code(tmp_path):
     path = tmp_path / "recipe.json"
     path.write_text(json.dumps(_recipe()))
-    assert generate_synthetic(load_synth_spec(path)) == generate_synthetic(default_synth_spec(n_blocks=50))
+    spec = load_synth_spec(path)
+    assert spec == default_synth_spec(n_blocks=50)
+    assert generate_synthetic(spec) == generate_synthetic(default_synth_spec(n_blocks=50))
 
 
 @pytest.mark.parametrize(
     "text, error, message",
     [
         ("[1]", SynthSpecError, "recipe.json: a recipe is a JSON object with the fields true_model, noise_sigma_us, "
-                                "count_ranges, n_blocks, seed$"),
-        (json.dumps(_recipe(seed=None)), SynthSpecError, "a recipe is a JSON object with the fields"),
+                                "count_ranges, n_blocks, seed; missing true_model, noise_sigma_us, count_ranges, "
+                                "n_blocks, seed$"),
+        (json.dumps(_recipe(seed=None)), SynthSpecError, "n_blocks, seed; missing seed$"),
+        (json.dumps(_recipe(true_model=None, n_blocks=None)), SynthSpecError,
+         "n_blocks, seed; missing true_model, n_blocks$"),
         (json.dumps(_recipe(true_model=[])), SynthSpecError, "^true_model: model document must be a JSON object$"),
         (json.dumps(_recipe(true_model=to_json_dict(GERVAIS_BASELINE))), SynthSpecError,
          "^true_model must be a ModelSpec of the joist kind$"),
@@ -358,7 +372,10 @@ def test_load_synth_spec_draws_what_the_same_spec_in_code_draws(tmp_path):
          "^count range for 'spend' must hold integers$"),
         ('{"seed": 1,', FormatError, "recipe.json: not valid JSON"),
     ],
-    ids=["not-an-object", "missing-field", "model-not-an-object", "model-not-joist", "range-bool", "bad-json"],
+    ids=[
+        "not-an-object", "missing-field", "missing-fields", "model-not-an-object", "model-not-joist", "range-bool",
+        "bad-json",
+    ],
 )
 def test_load_synth_spec_errors(tmp_path, text, error, message):
     path = tmp_path / "recipe.json"

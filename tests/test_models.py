@@ -141,6 +141,18 @@ def test_coefficient_name_set_is_enforced():
         ModelSpec(ModelKind.JOIST, {"j": 1.0, "o": 1.0, "i": 1.0, "s": 1.0}, 0.0)
 
 
+@pytest.mark.parametrize(
+    "value", ["1", True, None, 2**1024 - 2**970, [1.0]], ids=["str", "bool", "None", "int-beyond-float", "list"]
+)
+def test_model_values_must_be_numbers(value):
+    # A float holds inf and NaN (save_model refuses those); an int beyond float range it cannot hold.
+    with pytest.raises(IntegrityError, match="^model intercept and coefficients must be numbers$"):
+        ModelSpec(ModelKind.BLOCK_SIZE, {"byte": value}, 0.0)
+    with pytest.raises(IntegrityError, match="^model intercept and coefficients must be numbers$"):
+        ModelSpec(ModelKind.BLOCK_SIZE, {"byte": 1.0}, value)
+    ModelSpec(ModelKind.BLOCK_SIZE, {"byte": 2**1024 - 2**970 - 1}, float("nan"))
+
+
 def test_fixed_rate_intercept_must_be_zero():
     with pytest.raises(IntegrityError):
         ModelSpec(ModelKind.FIXED_RATE, {"byte": 0.5}, 1.0)
