@@ -497,18 +497,44 @@ class _RpcHandler(BaseHTTPRequestHandler):
             self._reply(500, None, {"code": -32601, "message": "Method not found"}, req_id)
 
 
-@pytest.fixture(scope="session")
-def rpc_server():
-    """A live local node stand-in; yields its base URL."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _RpcHandler)
+class _DrawnReplyHandler(_RpcHandler):
+    """Answers each request, whatever it asks, with the next reply in the server's
+    ``replies`` list: a (status, body, extra_length) triple, as ``_send`` takes it."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        status, body, extra_length = self.server.replies.pop(0)
+        self._send(status, body, extra_length=extra_length)
+
+
+@contextmanager
+def _serving(handler):
+    """A local HTTP server with *handler* on its own thread, shut down and closed on exit."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
+        yield server
     finally:
         server.shutdown()
         thread.join()
         server.server_close()
+
+
+@pytest.fixture(scope="session")
+def rpc_server():
+    """A live local node stand-in; yields its base URL."""
+    with _serving(_RpcHandler) as server:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+
+
+@pytest.fixture(scope="module")
+def drawn_reply_server():
+    """A stand-in that serves drawn replies: yields its base URL and the list of replies
+    it pops from, one per request, which a test fills before each call."""
+    with _serving(_DrawnReplyHandler) as server:
+        server.replies = []
+        yield f"http://127.0.0.1:{server.server_address[1]}", server.replies
 
 
 @pytest.fixture()

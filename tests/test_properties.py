@@ -1,4 +1,5 @@
-"""Property tests for the file boundaries: dataset CSV, model JSON and synthesis spec."""
+"""Property tests for the input boundaries: dataset CSV, model JSON, synthesis spec, CLI
+arguments and node RPC replies."""
 
 from __future__ import annotations
 
@@ -14,14 +15,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from joist import (
-    Dataset, IntegrityError, JoistError, ModelKind, ModelSpec, load_model, load_synth_spec, read_dataset, save_model,
+    Dataset, IntegrityError, JoistError, ModelKind, ModelSpec, RemoteError, RpcEndpoint, fetch_block_features,
+    load_model, load_synth_spec, read_dataset, save_model,
 )
 from joist.cli import main
 from joist.features import COLUMNS, COUNT_COLUMNS
 from joist.ingest import CSV_HEADER, write_dataset
 from joist.models import PREDICTORS, from_json_dict, to_json_dict
 
-from conftest import reference_read_dataset
+from conftest import RPC_PASS, RPC_USER, reference_read_dataset
 
 INT64_MAX = 2**63 - 1
 
@@ -373,3 +375,87 @@ def test_every_file_reading_command_exits_with_one_error_line_at_most(model, spe
             assert "Traceback" not in err
             assert len(error_lines) == (code != 0), (argv, err)
             assert max(map(len, err.splitlines()), default=0) <= 500, (argv, err[:1000])
+
+
+# ---------------------------------------------------------------------------
+# node replies, fetched through the library and through cli.main
+# ---------------------------------------------------------------------------
+
+_BIG_INTS = st.integers() | st.sampled_from([INT64_MAX, INT64_MAX + 1, -(2**63) - 1, 2**64, 10**4299])
+
+
+_ANY = _JSON | _BIG_INTS
+_RPC_ERRORS = _JSON | st.fixed_dictionaries({"code": _ANY, "message": _ANY})
+
+
+def _rarely(draw, strategy, usual):
+    """A value drawn from *strategy* one time in four, else *usual*."""
+    return draw(strategy) if draw(st.booleans()) and draw(st.booleans()) else usual
+
+
+@st.composite
+def transactions(draw):
+    """A decoded transaction record; each list sometimes any JSON value, a shielded list sometimes absent."""
+    inputs = st.sampled_from([{"txid": "t0", "vout": 0}, {"coinbase": "00"}]) | _JSON
+    tx = {"vin": draw(st.lists(inputs, max_size=3)), "vout": draw(st.lists(_JSON, max_size=3))}
+    for key in ("vShieldedSpend", "vShieldedOutput", "vjoinsplit"):
+        if draw(st.booleans()):
+            tx[key] = [{}] * draw(st.integers(0, 3))
+    return {key: _rarely(draw, _ANY, value) for key, value in tx.items()}
+
+
+@st.composite
+def blocks(draw):
+    """A block record; its size and transaction list each sometimes absent or any JSON value."""
+    block = {"size": draw(st.integers(1, 10**6)), "tx": draw(st.lists(transactions(), min_size=1, max_size=3))}
+    block = {key: _rarely(draw, _ANY, value) for key, value in block.items()}
+    return _rarely(draw, st.sampled_from([{}, {"size": block["size"]}, {"tx": block["tx"]}]), block)
+
+
+@st.composite
+def replies(draw, results):
+    """A stand-in's (status, body, extra_length) reply. Mostly a JSON-RPC reply document
+    whose result is drawn from *results*, with HTTP 200 and no error; else with any
+    status, an error of any shape, any JSON in place of the document, a damaged body (see
+    :func:`damaged`) or a body announced as longer than it is."""
+    doc = {"result": draw(results), "error": _rarely(draw, _RPC_ERRORS, None), "id": "joist"}
+    body = json.dumps(_rarely(draw, _JSON, doc)).encode()
+    body = _rarely(draw, damaged(st.just(body)), body)
+    status = _rarely(draw, st.sampled_from([301, 401, 403, 404, 500, 502]) | st.integers(100, 599), 200)
+    return status, body, _rarely(draw, st.just(10), 0)
+
+
+def _reply(result, status=200) -> tuple[int, bytes, int]:
+    return status, json.dumps({"result": result, "error": None, "id": "joist"}).encode(), 0
+
+
+_COINBASE_ONLY = {"size": 285, "tx": [{"vin": [{"coinbase": "00"}], "vout": [{}]}]}
+
+
+@settings(_SETTINGS, max_examples=200)
+@example(hash_reply=_reply("00ab"), block_reply=_reply(_COINBASE_ONLY))
+@example(hash_reply=_reply("00ab"), block_reply=(200, b'{"result": {"size": ' + b"7" * 5000 + b', "tx": []}}', 0))
+@example(hash_reply=(200, b"[" * 200_000, 0), block_reply=_reply(_COINBASE_ONLY))
+@example(hash_reply=_reply("00ab", status=401), block_reply=_reply(_COINBASE_ONLY))
+@given(hash_reply=replies(_ANY), block_reply=replies(blocks() | _ANY))
+def test_every_node_reply_gives_columns_or_a_joist_error(drawn_reply_server, work, monkeypatch, hash_reply, block_reply):
+    url, served = drawn_reply_server
+    served[:] = [hash_reply, block_reply]
+    outcome = _outcome(lambda: fetch_block_features(RpcEndpoint(url, RPC_USER, RPC_PASS, timeout=10.0), (7, 7)))
+    if isinstance(outcome, dict):
+        assert list(outcome) == list(COLUMNS[:-1])
+        assert all(column.dtype == "int64" and column.shape == (1,) for column in outcome.values())
+        expected_code = 0
+    else:
+        expected_code = 3 if issubclass(outcome[0], RemoteError) else 2
+    # The same replies through the fetch command, which exits as the library call ended.
+    for name, value in (("JOIST_RPC_URL", url), ("JOIST_RPC_USER", RPC_USER), ("JOIST_RPC_PASS", RPC_PASS)):
+        monkeypatch.setenv(name, value)
+    served[:] = [hash_reply, block_reply]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["fetch", "--from", "7", "--to", "7", "--out", str(work / "fetched.csv")])
+    err = stderr.getvalue()
+    assert code == expected_code, (outcome, err)
+    assert "Traceback" not in err
+    assert sum(line.startswith("error:") for line in err.splitlines()) == (code != 0), err
