@@ -74,13 +74,12 @@ class RpcEndpoint(Record):
 
 
 def _rpc_call(endpoint: RpcEndpoint, method: str, params: list):
-    """One JSON-RPC 1.0 request; returns the result or raises."""
+    """One JSON-RPC 1.0 request on its own connection, straight to the URL's host; returns the result or raises."""
     # Imported on first use: http.client, ssl and email add ~40 ms to every other command's start.
     import base64
     import http.client
     import json
-    import urllib.error
-    import urllib.request
+    from contextlib import closing
 
     url = endpoint.url
     try:
@@ -90,27 +89,27 @@ def _rpc_call(endpoint: RpcEndpoint, method: str, params: list):
         raise RpcConnectionError(f"invalid node URL {url!r}: {exc}") from exc
     if parts.scheme not in ("http", "https"):
         raise RpcConnectionError(f"node URL must start with http:// or https://, got {url!r}")
-    if "@" in parts.netloc:  # user:pass@ in the URL is dropped; the endpoint's credentials are sent
-        parts = parts._replace(netloc=parts.netloc.rpartition("@")[2])
-    payload = {"jsonrpc": "1.0", "id": "joist", "method": method, "params": params}
-    request = urllib.request.Request(
-        parts.geturl(), data=json.dumps(payload).encode(), headers={"Content-Type": "application/json"}
-    )
-    # RFC 7617: the credentials are UTF-8; unredirected, so a redirect never carries them.
+    if not parts.hostname:
+        raise RpcConnectionError(f"node URL has no host: {url!r}")
+    payload = json.dumps({"jsonrpc": "1.0", "id": "joist", "method": method, "params": params}).encode()
+    # RFC 7617: the credentials are UTF-8. A user:pass@ in the URL is not in its hostname, so it is never sent.
     credentials = base64.b64encode(f"{endpoint.username}:{endpoint.password}".encode()).decode()
-    request.add_unredirected_header("Authorization", "Basic " + credentials)
+    headers = {"Content-Type": "application/json", "Authorization": "Basic " + credentials}
+    # HTTPSConnection's default context checks the certificate against the system's trust store.
+    connect = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+    port = connect.default_port if parts.port is None else parts.port  # given, so that an IPv6 host is not split
     try:
-        try:
-            response = urllib.request.urlopen(request, timeout=endpoint.timeout)
-        except urllib.error.HTTPError as exc:
-            response = exc  # an HTTP error status still carries the node's reply
-        with response:
+        with closing(connect(parts.hostname, port, timeout=endpoint.timeout)) as connection:
+            connection.request("POST", (parts.path or "/") + (parts.query and "?" + parts.query), payload, headers)
+            response = connection.getresponse()
             status, raw = response.status, response.read(_MAX_REPLY_BYTES + 1)
             if len(raw) > _MAX_REPLY_BYTES:
                 raise RpcConnectionError(f"reply from {url} is longer than the {_MAX_REPLY_BYTES}-byte limit")
             response.read()  # raises IncompleteRead if the body was cut short
     except (OSError, ValueError, http.client.HTTPException) as exc:
         raise RpcConnectionError(f"cannot reach node at {url}: {exc}") from exc
+    if 300 <= status < 400:
+        raise RpcConnectionError(f"redirect (HTTP {status}) from {url}; a fetch follows none")
     if status in (401, 403):
         raise RpcConnectionError(f"authentication rejected by {url}")
     try:

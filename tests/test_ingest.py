@@ -451,10 +451,29 @@ def test_fetch_unreachable_node(closed_port_url):
         ("ftp://127.0.0.1/", "http:// or https://"),
         ("localhost:8232", "http:// or https://"),
         ("http://127.0.0.1:notaport/", "invalid node URL .*notaport"),
+        ("http://", "node URL has no host: 'http://'"),
+        ("http://:8232", "node URL has no host: 'http://:8232'"),
     ],
 )
 def test_fetch_rejects_unusable_urls(url, message):
     with pytest.raises(RpcConnectionError, match=message):
+        fetch_block_features(_endpoint(url), (100, 100))
+
+
+def test_fetch_ignores_proxy_settings(rpc_server, closed_port_url, monkeypatch):
+    # Through a proxy at a closed port every request would fail, and the proxy would get the credentials.
+    for name in ("http_proxy", "https_proxy", "HTTP_PROXY", "HTTPS_PROXY"):
+        monkeypatch.setenv(name, closed_port_url)
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    assert fetch_block_features(_endpoint(rpc_server), (100, 100))["size_bytes"].tolist() == [285]
+
+
+@pytest.mark.parametrize("status", [301, 302, 307, 308])
+def test_fetch_redirect_is_connection_error(drawn_reply_server, status):
+    url, served = drawn_reply_server
+    served[:] = [(status, b'{"result": "blockhash100", "error": null, "id": "joist"}', 0)]
+    with pytest.raises(RpcConnectionError, match=rf"^redirect \(HTTP {status}\) from {url}; a fetch follows none$"):
         fetch_block_features(_endpoint(url), (100, 100))
 
 
