@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package, and the base of its records.
+"""Exception hierarchy shared across the package, the base of its records, and
+two helpers that records use to check a field and show a refused value.
 
 The tree mirrors the CLI exit-code buckets: data/integrity problems,
 remote/transport failures, and numerical failures each have a common base so
@@ -9,6 +10,8 @@ already imports this one, which needs only the standard library.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class JoistError(Exception):
@@ -128,3 +131,21 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
         return f"{type(self).__qualname__}({fields})"
+
+
+def is_int(value) -> bool:
+    """Whether *value* is an int but not a bool, which Python counts as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def shown(value) -> str:
+    """*value* as an error message shows it: its repr, but an int of more than 40 digits
+    as its first 20 digits, "...", and its number of digits, as the CLI shortens a long
+    digit run. str() refuses an int of more than 4,300 digits, so this counts them."""
+    if not (isinstance(value, int) and abs(value) >= 10**40):
+        return repr(value)
+    magnitude = abs(value)
+    # At least 2**(b - 1), so it has this many digits or one more.
+    digits = int((magnitude.bit_length() - 1) * math.log10(2)) + 1
+    digits += magnitude >= 10**digits
+    return f"{'-' * (value < 0)}{magnitude // 10 ** (digits - 20)}...({digits} digits)"

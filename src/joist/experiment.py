@@ -23,6 +23,8 @@ from .errors import (
     Record,
     ShapeError,
     SynthSpecError,
+    is_int,
+    shown,
 )
 from .features import COUNT_COLUMNS, FEATURE_COLUMNS, Dataset
 from .output import _atomic_write, _csv_chunks
@@ -51,17 +53,12 @@ class SplitPlan(Record):
     n_fit: int
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.seed) and 0 <= self.seed <= _MAX_SEED):
-            raise IntegrityError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not _is_int(self.n_fit):
-            raise IntegrityError(f"n_fit must be an integer, got {self.n_fit!r}")
+        if not (is_int(self.seed) and 0 <= self.seed <= _MAX_SEED):
+            raise IntegrityError(f"seed must be an unsigned 64-bit integer, got {shown(self.seed)}")
+        if not is_int(self.n_fit):
+            raise IntegrityError(f"n_fit must be an integer, got {shown(self.n_fit)}")
         if self.n_fit < 1:
             raise IntegrityError("n_fit and n_predict must both be >= 1")
-
-
-def _is_int(value) -> bool:
-    """Whether *value* is an int but not a bool, which Python counts as one."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def split(ds: Dataset, plan: SplitPlan) -> tuple[Dataset, Dataset]:
@@ -256,22 +253,22 @@ class SynthSpec(Record):
             raise SynthSpecError("true_model intercept and coefficients must be finite")
         noise = as_float(self.noise_sigma_us)
         if noise is None or not 0 <= noise < math.inf:
-            raise SynthSpecError(f"noise_sigma_us must be a finite number >= 0, got {self.noise_sigma_us!r}")
-        if not (_is_int(self.n_blocks) and self.n_blocks >= 1):
-            raise SynthSpecError(f"n_blocks must be an integer >= 1, got {self.n_blocks!r}")
-        if not (_is_int(self.seed) and 0 <= self.seed <= _MAX_SEED):
-            raise SynthSpecError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+            raise SynthSpecError(f"noise_sigma_us must be a finite number >= 0, got {shown(self.noise_sigma_us)}")
+        if not (is_int(self.n_blocks) and self.n_blocks >= 1):
+            raise SynthSpecError(f"n_blocks must be an integer >= 1, got {shown(self.n_blocks)}")
+        if not (is_int(self.seed) and 0 <= self.seed <= _MAX_SEED):
+            raise SynthSpecError(f"seed must be an unsigned 64-bit integer, got {shown(self.seed)}")
         names = PREDICTORS[ModelKind.JOIST]
         if not (isinstance(ranges, Mapping) and set(ranges) == set(names)):
             raise SynthSpecError(f"count_ranges must be a mapping with exactly the keys {sorted(names)}")
         for name, pair in ranges.items():
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                 raise SynthSpecError(f"count range for {name!r} must be a [lo, hi] pair")
-            if not all(map(_is_int, pair)):
+            if not all(map(is_int, pair)):
                 raise SynthSpecError(f"count range for {name!r} must hold integers")
             lo, hi = pair
             if lo < 0 or hi < lo:
-                raise SynthSpecError(f"bad range for {name!r}: [{lo}, {hi}]")
+                raise SynthSpecError(f"bad range for {name!r}: [{shown(lo)}, {shown(hi)}]")
         # Held as (lo, hi) tuples, so that a spec read from JSON equals the same spec built in code.
         vars(self)["count_ranges"] = ranges = {name: tuple(pair) for name, pair in ranges.items()}
         # First, so that the bounds below convert to floats; the size may be too long for str().
@@ -331,7 +328,7 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     try:
         draws = splitmix64(spec.seed, 8 * spec.n_blocks).reshape(spec.n_blocks, 8)
     except (ValueError, MemoryError) as exc:
-        raise SynthSpecError(f"n_blocks {spec.n_blocks} is too large to draw: {exc}") from exc
+        raise SynthSpecError(f"n_blocks {shown(spec.n_blocks)} is too large to draw: {exc}") from exc
     counts = {}
     for i, name in enumerate(names):
         lo, hi = spec.count_ranges[name]

@@ -126,6 +126,9 @@ class Dataset:
 
 def _stacked(data: Mapping[str, ArrayLike], names: Sequence[str]) -> np.ndarray:
     """A new (n, len(names)) int64 table of the mapping's columns *names*, in that order."""
+    missing = [name for name in names if name not in data]
+    if missing:
+        raise IntegrityError(f"missing column(s): {', '.join(missing)}")
     n = len(data["height"])
     if n < 1:
         raise IntegrityError("a dataset needs at least one sample")

@@ -33,6 +33,8 @@ from .errors import (
     ParseError,
     Record,
     RpcConnectionError,
+    is_int,
+    shown,
 )
 from .features import COLUMNS, Dataset, _checked, _stacked, extract_tx_features, first_violation
 from .output import _atomic_write, _csv_chunks
@@ -67,10 +69,15 @@ class RpcEndpoint(Record):
     max_parallel: int = 4
 
     def __post_init__(self) -> None:
+        for name in ("url", "username", "password"):
+            if not isinstance(getattr(self, name), str):
+                raise IntegrityError(f"{name} must be a str, got {shown(getattr(self, name))}")
+        if not (is_int(self.timeout) or isinstance(self.timeout, float)):
+            raise IntegrityError(f"timeout must be a number, got {shown(self.timeout)}")
         if not 0 < self.timeout < math.inf:
-            raise IntegrityError(f"timeout must be finite and > 0, got {self.timeout}")
-        if not 1 <= self.max_parallel <= MAX_PARALLEL:
-            raise IntegrityError(f"max_parallel must be in 1..{MAX_PARALLEL}, got {self.max_parallel}")
+            raise IntegrityError(f"timeout must be finite and > 0, got {shown(self.timeout)}")
+        if not (is_int(self.max_parallel) and 1 <= self.max_parallel <= MAX_PARALLEL):
+            raise IntegrityError(f"max_parallel must be an int in 1..{MAX_PARALLEL}, got {shown(self.max_parallel)}")
 
 
 def _rpc_call(endpoint: RpcEndpoint, method: str, params: list):

@@ -154,9 +154,9 @@ def centred(x: ArrayLike) -> Centred:
 
 def require_finite(values: np.ndarray, what: str) -> None:
     """Raise NumericalError unless every value is finite."""
-    bad = len(values) - np.count_nonzero(np.isfinite(values))
+    bad = values.size - np.count_nonzero(np.isfinite(values))
     if bad:
-        raise NumericalError(f"{bad} of {len(values)} {what} are not finite")
+        raise NumericalError(f"{bad} of {values.size} {what} are not finite")
 
 
 def correlation(x: Centred, t: Centred) -> float:

@@ -495,6 +495,19 @@ def test_fetch_non_ascii_password_is_sent_as_utf8(monkeypatch, tmp_path, rpc_ser
     assert "authentication rejected" in capsys.readouterr().err
 
 
+def test_fetch_ignores_proxy_settings(tmp_path, rpc_server, closed_port_url):
+    # Through a proxy at a closed port every request would fail, and the proxy would get the credentials.
+    # A fresh process, so that no earlier request in this one has read the environment already.
+    proxies = dict.fromkeys(["http_proxy", "https_proxy", "HTTP_PROXY", "HTTPS_PROXY"], closed_port_url)
+    env = {k: v for k, v in subprocess_env().items() if k.lower() != "no_proxy"} | proxies
+    env |= {"JOIST_RPC_URL": rpc_server, "JOIST_RPC_USER": RPC_USER, "JOIST_RPC_PASS": RPC_PASS}
+    out = tmp_path / "f.csv"
+    argv = [sys.executable, "-m", "joist.cli", "fetch", "--from", "100", "--to", "100", "--out", str(out)]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert out.read_text().splitlines()[1] == "100,285,0,2,0,0,0,0"
+
+
 # Modules that only a command's own work needs: `import joist`, `--help` and a usage error load none.
 _COMMAND_MODULES = {"numpy", *(f"joist.{m}" for m in ("experiment", "features", "fit", "ingest", "models", "output", "rng", "stats"))}
 _HTTP_STACK = {"requests", "urllib.request", "http.client", "concurrent.futures", "logging"}

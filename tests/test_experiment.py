@@ -100,6 +100,40 @@ def test_split_plan_invariants():
         SplitPlan(seed=1, n_fit="5")
 
 
+_HUGE = r"1(0){19}\.{3}\(5001 digits\)"  # 10**5000
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: SplitPlan(seed=10**5000, n_fit=3),
+            IntegrityError,
+            f"seed must be an unsigned 64-bit integer, got {_HUGE}",
+        ),
+        (lambda: SplitPlan(seed=2**200, n_fit=3), IntegrityError, r"seed .*, got 1606938044\d{10}\.{3}\(61 digits\)"),
+        (lambda: SplitPlan(seed=10**39, n_fit=3), IntegrityError, f"seed .*, got 1{'0' * 39}"),
+        (lambda: default_synth_spec(seed=-(10**5000)), SynthSpecError, f"seed .*, got -{_HUGE}"),
+        (lambda: default_synth_spec(n_blocks=-(10**5000)), SynthSpecError, f"n_blocks .*, got -{_HUGE}"),
+        (lambda: default_synth_spec(noise_sigma_us=10**5000), SynthSpecError, f"noise_sigma_us .*, got {_HUGE}"),
+        (
+            lambda: default_synth_spec(count_ranges={**_RANGES, "spend": (-(10**5000), 5)}),
+            SynthSpecError,
+            rf"bad range for 'spend': \[-{_HUGE}, 5\]",
+        ),
+        (
+            lambda: generate_synthetic(default_synth_spec(n_blocks=10**5000)),
+            SynthSpecError,
+            f"n_blocks {_HUGE} is too large to draw: .*",
+        ),
+    ],
+    ids=["plan-seed", "plan-seed-61-digits", "plan-seed-40-digits", "spec-seed", "n_blocks", "noise", "range", "draw"],
+)
+def test_a_refused_int_of_more_than_40_digits_is_shown_by_its_length(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
 # -- run_comparison -----------------------------------------------------------
 
 def test_comparison_on_exact_data_makes_joist_perfect():

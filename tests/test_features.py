@@ -155,6 +155,14 @@ def test_dataset_from_columns_rejects_a_column_of_another_length(heights, sizes)
         Dataset.from_columns(columns)
 
 
+@pytest.mark.parametrize("build", [Dataset, Dataset.from_columns], ids=["init", "from_columns"])
+@pytest.mark.parametrize("absent", [["n_joinsplit"], ["height"], ["height", "verify_time_us"]])
+def test_constructors_name_the_missing_columns(build, absent):
+    columns = {c: [v] for c, v in zip(COLUMNS, _row(1)) if c not in absent}
+    with pytest.raises(IntegrityError, match=f"^missing column\\(s\\): {', '.join(absent)}$"):
+        build(columns)
+
+
 @pytest.mark.parametrize(
     "build, heights",
     [(Dataset, [1, 2, 3]), (Dataset.from_columns, [1, 2, 3]), (Dataset.from_columns, [3, 1, 2])],

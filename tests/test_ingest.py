@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+from fractions import Fraction
 import ssl
 import threading
 from http.server import ThreadingHTTPServer
@@ -320,6 +321,13 @@ def test_write_features_csv_rejects_columns_that_are_not_int64(tmp_path, column,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_write_features_csv_names_a_missing_column(tmp_path):
+    columns = {c: [1, 1] for c in COLUMNS[:-1] if c != "n_joinsplit"} | {"height": [101, 102]}
+    with pytest.raises(IntegrityError, match=r"^missing column\(s\): n_joinsplit$"):
+        write_features_csv(columns, tmp_path / "features.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- endpoint invariants ----------------------------------------------------
 
 def test_endpoint_invariants():
@@ -333,11 +341,35 @@ def test_endpoint_timeout_must_be_finite_and_positive(timeout):
         RpcEndpoint(url="http://x", username="u", password="p", timeout=timeout)
 
 
-@pytest.mark.parametrize("max_parallel", [MAX_PARALLEL + 1, 10**9])
+@pytest.mark.parametrize(
+    "max_parallel", [MAX_PARALLEL + 1, 10**9, 2.5, True, "4", pytest.param(10**5000, id="5001-digits")]
+)
 def test_endpoint_bounds_parallelism(max_parallel):
     RpcEndpoint(url="http://x", username="u", password="p", max_parallel=MAX_PARALLEL)
     with pytest.raises(IntegrityError, match=f"1..{MAX_PARALLEL}"):
         RpcEndpoint(url="http://x", username="u", password="p", max_parallel=max_parallel)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("url", None, "url must be a str, got None"),
+        ("username", b"u", "username must be a str, got b'u'"),
+        ("password", 5, "password must be a str, got 5"),
+        ("timeout", "1", "timeout must be a number, got '1'"),
+        ("timeout", True, "timeout must be a number, got True"),
+        ("timeout", Fraction(1, 2), r"timeout must be a number, got Fraction\(1, 2\)"),
+        ("timeout", -(10**5000), r"timeout must be finite and > 0, got -10000000000000000000\.\.\.\(5001 digits\)"),
+        ("max_parallel", 2.5, "max_parallel must be an int in 1..64, got 2.5"),
+        ("max_parallel", 10**5000, r"max_parallel must be an int in 1..64, got 1(0){19}\.\.\.\(5001 digits\)"),
+    ],
+    ids=["url", "username", "password", "timeout-str", "timeout-bool", "timeout-fraction", "timeout-5001-digits",
+         "parallel-float", "parallel-5001-digits"],
+)
+def test_endpoint_checks_field_types(field, value, message):
+    fields = {"url": "http://x", "username": "u", "password": "p", field: value}
+    with pytest.raises(IntegrityError, match=f"^{message}$"):
+        RpcEndpoint(**fields)
 
 
 # -- JSON-RPC fetching -------------------------------------------------------
@@ -458,15 +490,6 @@ def test_fetch_unreachable_node(closed_port_url):
 def test_fetch_rejects_unusable_urls(url, message):
     with pytest.raises(RpcConnectionError, match=message):
         fetch_block_features(_endpoint(url), (100, 100))
-
-
-def test_fetch_ignores_proxy_settings(rpc_server, closed_port_url, monkeypatch):
-    # Through a proxy at a closed port every request would fail, and the proxy would get the credentials.
-    for name in ("http_proxy", "https_proxy", "HTTP_PROXY", "HTTPS_PROXY"):
-        monkeypatch.setenv(name, closed_port_url)
-    for name in ("no_proxy", "NO_PROXY"):
-        monkeypatch.delenv(name, raising=False)
-    assert fetch_block_features(_endpoint(rpc_server), (100, 100))["size_bytes"].tolist() == [285]
 
 
 @pytest.mark.parametrize("status", [301, 302, 307, 308])

@@ -438,7 +438,9 @@ _COINBASE_ONLY = {"size": 285, "tx": [{"vin": [{"coinbase": "00"}], "vout": [{}]
 @example(hash_reply=(200, b"[" * 200_000, 0), block_reply=_reply(_COINBASE_ONLY))
 @example(hash_reply=_reply("00ab", status=401), block_reply=_reply(_COINBASE_ONLY))
 @given(hash_reply=replies(_ANY), block_reply=replies(blocks() | _ANY))
-def test_every_node_reply_gives_columns_or_a_joist_error(drawn_reply_server, work, monkeypatch, hash_reply, block_reply):
+def test_every_node_reply_gives_columns_or_a_joist_error(
+    drawn_reply_server, work, monkeypatch, hash_reply, block_reply
+):
     url, served = drawn_reply_server
     served[:] = [hash_reply, block_reply]
     outcome = _outcome(lambda: fetch_block_features(RpcEndpoint(url, RPC_USER, RPC_PASS, timeout=10.0), (7, 7)))

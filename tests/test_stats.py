@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from math import fsum
 
+import numpy as np
 import pytest
 
 from joist import (
@@ -250,3 +251,10 @@ def test_evaluate_check_order(t, t_hat, p, error, message):
     with pytest.raises(error, match=message) as excinfo:
         evaluate(t, t_hat, p)
     assert type(excinfo.value) is error
+
+
+def test_evaluate_counts_non_finite_predictions_by_element():
+    t_hat = np.arange(6.0).reshape(3, 2)
+    t_hat[1, 0] = np.nan
+    with pytest.raises(NumericalError, match="^1 of 6 predictions are not finite$"):
+        evaluate([1.0, 2.0, 3.0], t_hat, 1)
