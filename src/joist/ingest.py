@@ -108,11 +108,11 @@ def _rpc_call(endpoint: RpcEndpoint, method: str, params: list):
     try:
         with closing(connect(parts.hostname, port, timeout=endpoint.timeout)) as connection:
             connection.request("POST", (parts.path or "/") + (parts.query and "?" + parts.query), payload, headers)
-            response = connection.getresponse()
-            status, raw = response.status, response.read(_MAX_REPLY_BYTES + 1)
-            if len(raw) > _MAX_REPLY_BYTES:
-                raise RpcConnectionError(f"reply from {url} is longer than the {_MAX_REPLY_BYTES}-byte limit")
-            response.read()  # raises IncompleteRead if the body was cut short
+            with connection.getresponse() as response:
+                status, raw = response.status, response.read(_MAX_REPLY_BYTES + 1)
+                if len(raw) > _MAX_REPLY_BYTES:
+                    raise RpcConnectionError(f"reply from {url} is longer than the {_MAX_REPLY_BYTES}-byte limit")
+                response.read()  # raises IncompleteRead if the body was cut short
     except (OSError, ValueError, http.client.HTTPException) as exc:
         raise RpcConnectionError(f"cannot reach node at {url}: {exc}") from exc
     if 300 <= status < 400:
