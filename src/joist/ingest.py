@@ -214,7 +214,7 @@ def write_features_csv(columns: Mapping[str, np.ndarray], path: str | Path) -> N
     merged in.
 
     Raises:
-        IntegrityError: a column is not n whole numbers within int64, or a value
+        IntegrityError: a column is missing or is not n whole numbers within int64, or a value
             breaks its column's rule (the first such row in height order is named);
             nothing is written.
     """

@@ -382,8 +382,6 @@ def test_every_file_reading_command_exits_with_one_error_line_at_most(model, spe
 # ---------------------------------------------------------------------------
 
 _BIG_INTS = st.integers() | st.sampled_from([INT64_MAX, INT64_MAX + 1, -(2**63) - 1, 2**64, 10**4299])
-
-
 _ANY = _JSON | _BIG_INTS
 _RPC_ERRORS = _JSON | st.fixed_dictionaries({"code": _ANY, "message": _ANY})
 

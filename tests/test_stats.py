@@ -240,21 +240,21 @@ def test_evaluate_matches_per_element_reference_bit_for_bit():
         ([], [float("inf")], 4, ShapeError, "length mismatch"),
         ([], [], 4, ShapeError, "empty input"),
         ([-5.0], [float("inf")], 4, NumericalError, "not finite"),
+        (
+            [1.0, 2.0, 3.0],
+            np.array([[0.0, 1.0], [np.nan, 3.0], [4.0, 5.0]]),
+            1,
+            NumericalError,
+            "^1 of 6 predictions are not finite$",
+        ),
         ([-5.0], [0.0], 4, ShapeError, "at least 2"),
         ([-5.0, -5.0], [0.0, 0.0], 4, DegenerateVarianceError, "constant"),
         ([-1.0, 1.0], [0.0, 0.0], 4, DegenerateDataError, "positive"),
         ([1.0, 2.0], [1.0, 2.0], 1, SampleCountError, "need n >"),
     ],
-    ids=["length", "empty", "finite", "count", "constant", "mean", "predictors"],
+    ids=["length", "empty", "finite", "finite-2-d", "count", "constant", "mean", "predictors"],
 )
 def test_evaluate_check_order(t, t_hat, p, error, message):
     with pytest.raises(error, match=message) as excinfo:
         evaluate(t, t_hat, p)
     assert type(excinfo.value) is error
-
-
-def test_evaluate_counts_non_finite_predictions_by_element():
-    t_hat = np.arange(6.0).reshape(3, 2)
-    t_hat[1, 0] = np.nan
-    with pytest.raises(NumericalError, match="^1 of 6 predictions are not finite$"):
-        evaluate([1.0, 2.0, 3.0], t_hat, 1)
