@@ -48,6 +48,9 @@ def _shortened(message: str) -> str:
     )
 
 
+_LINE_BREAKS = str.maketrans({"\r": "\\r", "\n": "\\n"})
+
+
 # The exit code of an error: the first entry whose type it is an instance of.
 _EXIT_CODES = (
     (_UsageError, EXIT_USAGE),
@@ -294,7 +297,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:  # the reader of a pipe is gone: exit as SIGPIPE would
         return EXIT_BROKEN_PIPE
     except (_UsageError, JoistError, OSError) as exc:
-        print(f"error: {_shortened(str(exc))}", file=sys.stderr)
+        # One line per failure: a node's message or a file name may hold line breaks.
+        print(f"error: {_shortened(str(exc)).translate(_LINE_BREAKS)}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

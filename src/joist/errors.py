@@ -12,6 +12,7 @@ already imports this one, which needs only the standard library.
 from __future__ import annotations
 
 import math
+from collections.abc import Sized
 
 
 class JoistError(Exception):
@@ -141,9 +142,15 @@ def is_int(value) -> bool:
 def shown(value) -> str:
     """*value* as an error message shows it: its repr, but an int of more than 40 digits
     as its first 20 digits, "...", and its number of digits, as the CLI shortens a long
-    digit run. str() refuses an int of more than 4,300 digits, so this counts them."""
+    digit run. str() refuses an int of more than 4,300 digits, so this counts them; a
+    value whose repr is refused, such as a list holding such an int, shows its type and
+    length."""
     if not (isinstance(value, int) and abs(value) >= 10**40):
-        return repr(value)
+        try:
+            return repr(value)
+        except ValueError:
+            length = f" of length {len(value)}" if isinstance(value, Sized) else ""
+            return f"a {type(value).__name__}{length}"
     magnitude = abs(value)
     # At least 2**(b - 1), so it has this many digits or one more.
     digits = int((magnitude.bit_length() - 1) * math.log10(2)) + 1

@@ -313,12 +313,16 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
     clamped to >= 1; size_bytes is an affine function of the counts plus 5 %
     relative noise, so byte-rate models stay correlated but inferior.
 
+    The dataset equals the one built from :func:`joist.rng.gaussians`, whose log
+    and cos are libm's: numpy computes every value first, and libm redoes the
+    few that lie near a rounding tie (see :func:`_rounded_at_least_one`).
+
     Raises:
         SynthSpecError: if n_blocks is too large for one draw buffer, or if a
             drawn time or size is not finite or does not fit in int64.
     """
     from .models import PREDICTORS, ModelKind
-    from .rng import gaussians, splitmix64
+    from .rng import splitmix64
 
     names = PREDICTORS[ModelKind.JOIST]
     coeffs = spec.true_model.coefficients
@@ -340,24 +344,73 @@ def generate_synthetic(spec: SynthSpec) -> Dataset:
         exact = 0.0
         for name in names:
             exact = exact + coeffs[name] * counts[name].astype(np.float64)
-        times = spec.true_model.intercept_us + exact + gaussians(draws[:, 4], draws[:, 5]) * spec.noise_sigma_us
-        size_noise = gaussians(draws[:, 6], draws[:, 7]) * _SYNTH_SIZE_NOISE_FRACTION * affine_size
+        sizes = _rounded_at_least_one(
+            "size_bytes",
+            draws[:, 6],
+            draws[:, 7],
+            affine_size,
+            lambda g, rows: (g * _SYNTH_SIZE_NOISE_FRACTION) * affine_size[rows],
+        )
+        sigma = spec.noise_sigma_us
+        times = _rounded_at_least_one(
+            "verify_time_us", draws[:, 4], draws[:, 5], spec.true_model.intercept_us + exact, lambda g, rows: g * sigma
+        )
     del draws  # freed before the dataset's table is built
     columns = {
         "height": np.arange(1, spec.n_blocks + 1),
-        "size_bytes": _rounded_at_least_one("size_bytes", affine_size + size_noise),
+        "size_bytes": sizes,
         "n_transparent_in": counts["transparent_in"],
         "n_transparent_out": counts["transparent_in"] + 1,
         "n_spend": counts["spend"],
         "n_output": counts["output"],
         "n_joinsplit": counts["joinsplit"],
-        "verify_time_us": _rounded_at_least_one("verify_time_us", times),
+        "verify_time_us": times,
     }
     return Dataset(columns)
 
 
-def _rounded_at_least_one(name: str, values: np.ndarray) -> np.ndarray:
-    """max(1, round(v)) per value, as int64 (round half to even, like round())."""
+# Bounds of _rounded_at_least_one's margin around each half-integer: the gaussian error
+# per unit of (r + 1), and the spacings of the value its roundings can move it by.
+_GAUSSIAN_ERROR = 2.0**-30
+_ROUNDING_SPACINGS = 4.0
+
+
+def _rounded_at_least_one(name: str, words1: np.ndarray, words2: np.ndarray, base: np.ndarray, noise) -> np.ndarray:
+    """max(1, round(v)) per block, as int64 (round half to even, like round()), of the
+    values ``v = base + noise(g, rows)`` over all rows, where ``g = rng.gaussians(words1,
+    words2)`` and ``noise(g, rows)`` is s * g for those rows, rounded, with slopes s >= 0.
+
+    numpy's gaussians come first: ``g = r * cos(2 pi u2)`` with ``r = sqrt(-2 log u1)``, in
+    the float operations of :func:`joist.rng.gaussians` but with numpy's log and cos for
+    libm's. Only v's rounded integer is kept, so a v that might round otherwise with libm's
+    g is redone with :func:`joist.rng.gaussians`: one that is not finite, has |v| >= 2**52,
+    or lies within d = s * (r + 1) * 2**-30 + 4 * spacing(|v|) of a half-integer.
+
+    Assume numpy's float64 log and cos are each within 2**20 ulp of the exact value (numpy's
+    own accuracy tests hold them to 1 ulp; glibc's are within 1 ulp). Then the two logs
+    differ by at most 2**-31 |log u1| and the two cosines by 2**-31, so the two r differ by
+    r * (2**-32 + 2**-52) after the square root, and the two g by r * (2**-31 + 2**-32 +
+    2**-50), where r <= 8.6 as u1 >= 2**-53. The noise's scaling by s and its roundings add
+    s * r * 2**-51, which leaves the total below s * r * 2**-30; the + 1 covers the error of
+    r itself. Adding the base rounds each v by at most half its spacing: 1.5 spacing(|v|)
+    for the two v if they sit in neighbouring binades, within 4 spacing(|v|). Outside d,
+    libm's v lies strictly between the same two half-integers as numpy's (half-integers
+    below 2**52 are floats), so it rounds to the same integer. A numpy off by more than
+    that breaks the bit-equality, not the accuracy.
+
+    Raises:
+        SynthSpecError: naming the first block whose v (libm's, as every such v is
+            redone) is not finite or does not fit in int64.
+    """
+    from .rng import gaussians, unit_floats
+
+    all_rows = slice(None)
+    r = np.sqrt(-2.0 * np.log(unit_floats(words1)))
+    values = base + noise(r * np.cos(2.0 * np.pi * unit_floats(words2)), all_rows)
+    margin = noise(r + 1.0, all_rows) * _GAUSSIAN_ERROR + _ROUNDING_SPACINGS * np.spacing(np.abs(values))
+    redo = np.flatnonzero(~((np.abs(values) < 2.0**52) & (np.abs(values - np.floor(values) - 0.5) > margin)))
+    if redo.size:
+        values[redo] = base[redo] + noise(gaussians(words1[redo], words2[redo]), redo)
     rounded = np.rint(values)
     bad = np.flatnonzero(~(np.isfinite(values) & (rounded < 2.0**63)))
     if bad.size:

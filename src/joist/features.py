@@ -104,8 +104,14 @@ class Dataset:
     def take(self, indices: ArrayLike) -> "Dataset":
         """The rows at *indices*, gathered once; they keep the rules already, so only their
         height order (which must strictly increase) is checked."""
+        try:
+            table = self.table[indices]
+        except IndexError as exc:  # an index out of range, or one that is not an int or bool
+            raise IntegrityError(f"rows to take: {exc}") from None
+        if table.ndim != 2:
+            raise IntegrityError("rows to take must be one sequence of row indices or booleans")
         taken = object.__new__(Dataset)
-        taken._hold(self.table[indices])
+        taken._hold(table)
         return taken
 
     @classmethod
@@ -125,16 +131,26 @@ class Dataset:
 
 
 def _stacked(data: Mapping[str, ArrayLike], names: Sequence[str]) -> np.ndarray:
-    """A new (n, len(names)) int64 table of the mapping's columns *names*, in that order."""
+    """A new (n, len(names)) int64 table of the mapping's columns *names*, in that order,
+    where n is the length of the first."""
+    if not isinstance(data, Mapping):
+        raise IntegrityError(f"columns must be a mapping of names to columns, got a {type(data).__name__}")
     missing = [name for name in names if name not in data]
     if missing:
         raise IntegrityError(f"missing column(s): {', '.join(missing)}")
-    n = len(data["height"])
-    if n < 1:
-        raise IntegrityError("a dataset needs at least one sample")
-    table = np.empty((n, len(names)), dtype=np.int64)
+    table = None
     for j, name in enumerate(names):
-        col = np.asarray(data[name])
+        try:
+            col = np.asarray(data[name])
+        except ValueError as exc:  # a ragged nest of sequences
+            raise IntegrityError(f"column {name} is not one column: {exc}") from None
+        if table is None:  # the first column sets n
+            if col.ndim != 1:
+                raise IntegrityError(f"column {name} has shape {col.shape}, expected one dimension")
+            if len(col) < 1:
+                raise IntegrityError("a dataset needs at least one sample")
+            n = len(col)
+            table = np.empty((n, len(names)), dtype=np.int64)
         if col.shape != (n,):
             raise IntegrityError(f"column {name} has shape {col.shape}, expected ({n},)")
         if not (col.dtype.kind in "iu" and _INT64.min <= col.min() and col.max() <= _INT64.max):

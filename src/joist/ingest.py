@@ -58,6 +58,10 @@ _MAX_REPLY_BYTES = 64 << 20
 # threads serve, and low enough that no value starts unbounded threads.
 MAX_PARALLEL = 64
 
+# Longest timeout in seconds a request takes: a socket waits through poll(), whose timeout
+# is an int of milliseconds, at most 2**31 - 1 (about 24.8 days); a longer one wraps.
+MAX_TIMEOUT_S = 2_147_483
+
 
 class RpcEndpoint(Record):
     """A node's JSON-RPC endpoint with basic-auth credentials."""
@@ -76,6 +80,8 @@ class RpcEndpoint(Record):
             raise IntegrityError(f"timeout must be a number, got {shown(self.timeout)}")
         if not 0 < self.timeout < math.inf:
             raise IntegrityError(f"timeout must be finite and > 0, got {shown(self.timeout)}")
+        if self.timeout > MAX_TIMEOUT_S:
+            raise IntegrityError(f"timeout must be at most {MAX_TIMEOUT_S} s, got {shown(self.timeout)}")
         if not (is_int(self.max_parallel) and 1 <= self.max_parallel <= MAX_PARALLEL):
             raise IntegrityError(f"max_parallel must be an int in 1..{MAX_PARALLEL}, got {shown(self.max_parallel)}")
 

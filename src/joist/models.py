@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, IntegrityError, Record
+from .errors import FormatError, IntegrityError, Record, shown
 from .features import FEATURE_COLUMNS, Dataset
 from .output import _atomic_write
 
@@ -63,12 +63,16 @@ class ModelSpec(Record):
     intercept_us: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, ModelKind):
+            raise IntegrityError(f"kind must be a ModelKind, got {shown(self.kind)}")
+        if not isinstance(self.coefficients, Mapping):
+            raise IntegrityError(f"coefficients must be a mapping of names to numbers, got {shown(self.coefficients)}")
         expected = set(PREDICTORS[self.kind])
         actual = set(self.coefficients)
         if actual != expected:
             raise IntegrityError(
                 f"model kind {self.kind.value!r} requires coefficients "
-                f"{sorted(expected)}, got {sorted(actual)}"
+                f"{sorted(expected)}, got [{', '.join(sorted(map(shown, actual)))}]"
             )
         if any(as_float(v) is None for v in [self.intercept_us, *self.coefficients.values()]):
             raise IntegrityError("model intercept and coefficients must be numbers")

@@ -8,6 +8,10 @@ on any platform. The derivations from blocks of raw draws are pinned exactly:
   reproducibility is not),
 * unit floats take the top 53 bits, shifted into (0, 1] (``unit_floats``),
 * gaussians use Box-Muller cosine form, one per pair of draws (``gaussians``),
+  with libm's log and cos; :func:`joist.experiment.generate_synthetic` computes
+  them with numpy's first and redoes with ``gaussians`` only the values whose
+  rounded integer libm's last bits could change, so its datasets equal the
+  ones built from ``gaussians`` alone,
 * shuffles are modern Fisher-Yates, swapping index i (from n-1 down to 1)
   with ``draw % (i + 1)``, one draw per swap.
 

@@ -465,6 +465,37 @@ def test_fetch_invalid_block_record_is_data_error_naming_the_block(monkeypatch, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "message, shown",
+    [
+        ("out of range\nerror: second line", r"out of range\nerror: second line"),
+        ("out of range\r\nerror: second line", r"out of range\r\nerror: second line"),
+        ("a\rb \\n c", r"a\rb \n c"),
+    ],
+    ids=["lf", "crlf", "cr-and-backslash"],
+)
+def test_fetch_prints_one_error_line_for_a_node_message_with_line_breaks(
+    monkeypatch, tmp_path, drawn_reply_server, capsys, message, shown
+):
+    url, served = drawn_reply_server
+    _set_rpc_env(monkeypatch, url)
+    error = {"code": -8, "message": message}
+    served[:] = [(500, json.dumps({"result": None, "error": error, "id": "joist"}).encode(), 0)]
+    code = main(["fetch", "--from", "7", "--to", "7", "--out", str(tmp_path / "f.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: height 7 unknown to node: {shown}\n"
+
+
+def test_a_file_name_with_a_line_break_is_shown_on_one_error_line(tmp_path, capsys):
+    model = tmp_path / "model\n.json"
+    model.write_text("{")
+    data = tmp_path / "data.csv"
+    data.write_text(f"{CSV_HEADER}\n{_DATA_ROW}")
+    assert main(["evaluate", "--model", str(model), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path}/model\\n.json: not valid JSON") and err.count("\n") == 1, err
+
+
 def test_fetch_unreachable_node_is_remote_error(monkeypatch, tmp_path, closed_port_url, capsys):
     _set_rpc_env(monkeypatch, closed_port_url)
     code = main(["fetch", "--from", "100", "--to", "100", "--out", str(tmp_path / "f.csv")])

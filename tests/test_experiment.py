@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,8 +26,10 @@ from joist import (
     split,
     write_dataset,
 )
+from joist import experiment, rng
 from joist.experiment import COMPARISON_CSV_HEADER, comparison_csv_lines
-from joist.models import to_json_dict
+from joist.features import Dataset
+from joist.models import PREDICTORS, to_json_dict
 
 from conftest import ScalarSplitMix64, default_synth_spec, make_dataset, next_int, scalar_shuffle
 
@@ -113,6 +116,8 @@ _HUGE = r"1(0){19}\.{3}\(5001 digits\)"  # 10**5000
         ),
         (lambda: SplitPlan(seed=2**200, n_fit=3), IntegrityError, r"seed .*, got 1606938044\d{10}\.{3}\(61 digits\)"),
         (lambda: SplitPlan(seed=10**39, n_fit=3), IntegrityError, f"seed .*, got 1{'0' * 39}"),
+        (lambda: SplitPlan(seed=1, n_fit=[10**5000]), IntegrityError, "n_fit .*, got a list of length 1"),
+        (lambda: SplitPlan(seed={3: (10**5000,)}, n_fit=3), IntegrityError, "seed .*, got a dict of length 1"),
         (lambda: default_synth_spec(seed=-(10**5000)), SynthSpecError, f"seed .*, got -{_HUGE}"),
         (lambda: default_synth_spec(n_blocks=-(10**5000)), SynthSpecError, f"n_blocks .*, got -{_HUGE}"),
         (lambda: default_synth_spec(noise_sigma_us=10**5000), SynthSpecError, f"noise_sigma_us .*, got {_HUGE}"),
@@ -127,7 +132,18 @@ _HUGE = r"1(0){19}\.{3}\(5001 digits\)"  # 10**5000
             f"n_blocks {_HUGE} is too large to draw: .*",
         ),
     ],
-    ids=["plan-seed", "plan-seed-61-digits", "plan-seed-40-digits", "spec-seed", "n_blocks", "noise", "range", "draw"],
+    ids=[
+        "plan-seed",
+        "plan-seed-61-digits",
+        "plan-seed-40-digits",
+        "plan-n_fit-list",
+        "plan-seed-dict",
+        "spec-seed",
+        "n_blocks",
+        "noise",
+        "range",
+        "draw",
+    ],
 )
 def test_a_refused_int_of_more_than_40_digits_is_shown_by_its_length(build, error, message):
     with pytest.raises(error, match=f"^{message}$"):
@@ -491,3 +507,100 @@ def test_synthetic_rejects_draws_beyond_int64():
     huge = {"joinsplit": (0, 1), "output": (0, 1), "transparent_in": (0, 2**62), "spend": (0, 1)}
     with pytest.raises(SynthSpecError, match="int64"):
         generate_synthetic(default_synth_spec(count_ranges=huge, n_blocks=20))
+
+
+def _synthetic_with_libm_gaussians(spec: SynthSpec) -> Dataset:
+    """generate_synthetic with :func:`joist.rng.gaussians` (libm) for every value, as it was
+    before numpy's log and cos came first: the reference the dataset must equal."""
+    names = PREDICTORS[ModelKind.JOIST]
+    draws = rng.splitmix64(spec.seed, 8 * spec.n_blocks).reshape(spec.n_blocks, 8)
+    counts = {}
+    for i, name in enumerate(names):
+        lo, hi = spec.count_ranges[name]
+        counts[name] = lo + (draws[:, i] % np.uint64(hi - lo + 1)).astype(np.int64)
+    affine_size = (1000 + sum(b * counts[n] for n, b in zip(names, (1802, 948, 150, 384)))).astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = 0.0
+        for name in names:
+            exact = exact + spec.true_model.coefficients[name] * counts[name].astype(np.float64)
+        times = spec.true_model.intercept_us + exact + rng.gaussians(draws[:, 4], draws[:, 5]) * spec.noise_sigma_us
+        size_noise = rng.gaussians(draws[:, 6], draws[:, 7]) * 0.05 * affine_size
+
+    def rounded(name, values):
+        rounded = np.rint(values)
+        bad = np.flatnonzero(~(np.isfinite(values) & (rounded < 2.0**63)))
+        if bad.size:
+            i = bad[0]
+            raise SynthSpecError(f"block {i + 1}: drawn {name} {values[i]} is not finite or does not fit in int64")
+        return np.maximum(1.0, rounded).astype(np.int64)
+
+    columns = {
+        "height": np.arange(1, spec.n_blocks + 1),
+        "size_bytes": rounded("size_bytes", affine_size + size_noise),
+        "n_transparent_in": counts["transparent_in"],
+        "n_transparent_out": counts["transparent_in"] + 1,
+        "n_spend": counts["spend"],
+        "n_output": counts["output"],
+        "n_joinsplit": counts["joinsplit"],
+        "verify_time_us": rounded("verify_time_us", times),
+    }
+    return Dataset(columns)
+
+
+def _outcome(build, spec):
+    """The dataset *build* makes of *spec*, or the message of the SynthSpecError it raises."""
+    try:
+        return build(spec)
+    except SynthSpecError as exc:
+        return str(exc)
+
+
+@st.composite
+def synth_specs(draw):
+    ranges = {}
+    for name in PREDICTORS[ModelKind.JOIST]:
+        lo = draw(st.integers(0, 10**4))
+        ranges[name] = (lo, lo + draw(st.sampled_from([0, 1, 10, 10**3, 10**6])))
+    coefficient = st.floats(-1e5, 1e5, allow_nan=False) | st.sampled_from([0.0, 61.5, 5359.094])
+    model = ModelSpec(
+        ModelKind.JOIST,
+        {name: draw(coefficient) for name in PREDICTORS[ModelKind.JOIST]},
+        draw(st.floats(-1e4, 1e12) | st.sampled_from([0.5, 4468.949, 1e12])),
+    )
+    sigma = draw(st.just(0.0) | st.floats(-3, 13).map(lambda e: 10.0**e) | st.sampled_from([1e300, 2500.5]))
+    try:
+        n_blocks = draw(st.integers(1, 3000) | st.just(3000))
+        return SynthSpec(model, sigma, ranges, n_blocks, draw(st.integers(0, 2**64 - 1)))
+    except SynthSpecError:  # no positive time in the count box
+        return draw(st.nothing())
+
+
+@settings(deadline=None, max_examples=150)
+@given(spec=synth_specs())
+def test_synthetic_equals_the_dataset_of_libm_gaussians(spec):
+    assert _outcome(generate_synthetic, spec) == _outcome(_synthetic_with_libm_gaussians, spec)
+
+
+@pytest.mark.parametrize("ulps, sigma", [(1, 1e14), (2**20, 3e7)], ids=["1-ulp", "2**20-ulp"])
+def test_numpy_log_and_cos_off_by_ulps_give_the_same_dataset_unless_the_margin_is_zero(monkeypatch, ulps, sigma):
+    # 1 ulp shows in the last bits of times near 1e15; 2**20 ulp, the bound the margin
+    # assumes, shows near 1e8, where about one time in eight is redone.
+    spec = default_synth_spec(noise_sigma_us=sigma, n_blocks=4000, seed=7)
+    expected = _synthetic_with_libm_gaussians(spec)
+    log, cos = np.log, np.cos
+    monkeypatch.setattr(np, "log", lambda x: log(x) + ulps * np.spacing(log(x)))
+    monkeypatch.setattr(np, "cos", lambda x: cos(x) + ulps * np.spacing(cos(x)))
+    assert generate_synthetic(spec) == expected
+    monkeypatch.setattr(experiment, "_GAUSSIAN_ERROR", 0.0)
+    monkeypatch.setattr(experiment, "_ROUNDING_SPACINGS", 0.0)
+    assert generate_synthetic(spec) != expected
+
+
+def test_a_50k_synth_redoes_a_handful_of_values_with_libm(monkeypatch):
+    spec = default_synth_spec(noise_sigma_us=2000.0, n_blocks=50_000, seed=1)
+    expected = _synthetic_with_libm_gaussians(spec)
+    redone = []
+    gaussians = rng.gaussians
+    monkeypatch.setattr(rng, "gaussians", lambda w1, w2: redone.append(len(w1)) or gaussians(w1, w2))
+    assert generate_synthetic(spec) == expected
+    assert sum(redone) <= 8

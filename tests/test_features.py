@@ -163,6 +163,23 @@ def test_constructors_name_the_missing_columns(build, absent):
         build(columns)
 
 
+@pytest.mark.parametrize("build", [Dataset, Dataset.from_columns], ids=["init", "from_columns"])
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ({c: 5 for c in COLUMNS}, r"column height has shape \(\), expected one dimension"),
+        ({c: [[1, 2]] for c in COLUMNS}, r"column height has shape \(1, 2\), expected one dimension"),
+        ({c: [[1], [1, 2]] for c in COLUMNS}, r"column height is not one column: .*inhomogeneous.*"),
+        (None, "columns must be a mapping of names to columns, got a NoneType"),
+        ([(c, [1]) for c in COLUMNS], "columns must be a mapping of names to columns, got a list"),
+    ],
+    ids=["scalars", "2-d", "ragged", "None", "pairs"],
+)
+def test_constructors_refuse_what_is_not_a_mapping_of_columns(build, columns, message):
+    with pytest.raises(IntegrityError, match=f"^{message}$"):
+        build(columns)
+
+
 @pytest.mark.parametrize(
     "build, heights",
     [(Dataset, [1, 2, 3]), (Dataset.from_columns, [1, 2, 3]), (Dataset.from_columns, [3, 1, 2])],
@@ -191,6 +208,26 @@ def test_take_returns_read_only_copies_of_the_chosen_rows():
         with pytest.raises(ValueError):
             getattr(taken, c)[0] = 1
     assert ds.height.tolist() == [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ([5], r"rows to take: index 5 is out of bounds for axis 0 with size 2"),
+        ([-3], r"rows to take: index -3 is out of bounds for axis 0 with size 2"),
+        (["a"], r"rows to take: only integers, .* are valid indices"),
+        ([0.5], r"rows to take: only integers, .* are valid indices"),
+        ([True], r"rows to take: boolean index did not match .*"),
+        (0, r"rows to take must be one sequence of row indices or booleans"),
+        (None, r"rows to take must be one sequence of row indices or booleans"),
+        ([[0, 1]], r"rows to take must be one sequence of row indices or booleans"),
+    ],
+    ids=["beyond", "before", "str", "float", "short-mask", "scalar", "None", "2-d"],
+)
+def test_take_refuses_what_is_not_a_sequence_of_rows(indices, message):
+    ds = make_dataset([_row(1), _row(2)])
+    with pytest.raises(IntegrityError, match=f"^{message}$"):
+        ds.take(indices)
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from joist import (
     write_features_csv,
 )
 from joist.features import COLUMNS
-from joist.ingest import CSV_HEADER, MAX_PARALLEL
+from joist.ingest import CSV_HEADER, MAX_PARALLEL, MAX_TIMEOUT_S
 
 from conftest import (
     BAD_GATEWAY_HEIGHT,
@@ -378,6 +378,16 @@ def _endpoint(url, **kwargs):
     params = dict(url=url, username=RPC_USER, password=RPC_PASS, timeout=10.0)
     params.update(kwargs)
     return RpcEndpoint(**params)
+
+
+def test_endpoint_bounds_the_timeout_by_what_poll_takes(rpc_server):
+    # poll() takes an int of milliseconds; a longer timeout would wrap, or overflow time_t.
+    assert MAX_TIMEOUT_S * 1000 <= 2**31 - 1
+    for timeout in (MAX_TIMEOUT_S, math.nextafter(MAX_TIMEOUT_S, 0)):
+        assert fetch_block_features(_endpoint(rpc_server, timeout=timeout), (100, 100))["size_bytes"].tolist() == [285]
+    for timeout in (math.nextafter(MAX_TIMEOUT_S, math.inf), 1e10, 10**20):
+        with pytest.raises(IntegrityError, match=f"^timeout must be at most {MAX_TIMEOUT_S} s, got {timeout}$"):
+            _endpoint(rpc_server, timeout=timeout)
 
 
 def test_fetch_coinbase_only_block(rpc_server):

@@ -153,6 +153,27 @@ def test_model_values_must_be_numbers(value):
     ModelSpec(ModelKind.BLOCK_SIZE, {"byte": 2**1024 - 2**970 - 1}, float("nan"))
 
 
+@pytest.mark.parametrize(
+    "kind, coefficients, message",
+    [
+        (ModelKind.JOIST, None, "coefficients must be a mapping of names to numbers, got None"),
+        (ModelKind.BLOCK_SIZE, [("byte", 1.0)], r"coefficients must be a mapping .*, got \[\('byte', 1\.0\)\]"),
+        ("block_size", {"byte": 1.0}, "kind must be a ModelKind, got 'block_size'"),
+        (None, {"byte": 1.0}, "kind must be a ModelKind, got None"),
+        (
+            ModelKind.BLOCK_SIZE,
+            {1: 1.0, "byte": 2.0},
+            r"model kind 'block_size' requires coefficients \['byte'\], got \['byte', 1\]",
+        ),
+        (ModelKind.BLOCK_SIZE, {10**5000: 1.0}, r"model kind .*, got \[1(0){19}\.{3}\(5001 digits\)\]"),
+    ],
+    ids=["coefficients-None", "coefficients-pairs", "kind-str", "kind-None", "mixed-names", "5001-digit-name"],
+)
+def test_model_spec_refuses_a_bad_kind_or_coefficient_mapping(kind, coefficients, message):
+    with pytest.raises(IntegrityError, match=f"^{message}$"):
+        ModelSpec(kind, coefficients, 0.0)
+
+
 def test_fixed_rate_intercept_must_be_zero():
     with pytest.raises(IntegrityError):
         ModelSpec(ModelKind.FIXED_RATE, {"byte": 0.5}, 1.0)

@@ -383,7 +383,9 @@ def test_every_file_reading_command_exits_with_one_error_line_at_most(model, spe
 
 _BIG_INTS = st.integers() | st.sampled_from([INT64_MAX, INT64_MAX + 1, -(2**63) - 1, 2**64, 10**4299])
 _ANY = _JSON | _BIG_INTS
-_RPC_ERRORS = _JSON | st.fixed_dictionaries({"code": _ANY, "message": _ANY})
+# Messages that hold line breaks, some of them followed by what looks like another error line.
+_MULTILINE = st.lists(st.sampled_from(["out of range", "\n", "\r", "\r\n", "error: ", "x"]), max_size=6).map("".join)
+_RPC_ERRORS = _JSON | st.fixed_dictionaries({"code": _ANY, "message": _ANY | _MULTILINE})
 
 
 def _rarely(draw, strategy, usual):
@@ -435,6 +437,10 @@ _COINBASE_ONLY = {"size": 285, "tx": [{"vin": [{"coinbase": "00"}], "vout": [{}]
 @example(hash_reply=_reply("00ab"), block_reply=(200, b'{"result": {"size": ' + b"7" * 5000 + b', "tx": []}}', 0))
 @example(hash_reply=(200, b"[" * 200_000, 0), block_reply=_reply(_COINBASE_ONLY))
 @example(hash_reply=_reply("00ab", status=401), block_reply=_reply(_COINBASE_ONLY))
+@example(
+    hash_reply=(500, json.dumps({"error": {"code": -8, "message": "out of range\nerror: second line"}}).encode(), 0),
+    block_reply=_reply(_COINBASE_ONLY),
+)
 @given(hash_reply=replies(_ANY), block_reply=replies(blocks() | _ANY))
 def test_every_node_reply_gives_columns_or_a_joist_error(
     drawn_reply_server, work, monkeypatch, hash_reply, block_reply
