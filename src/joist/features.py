@@ -7,6 +7,7 @@ check each, assuming P2PKH). Transparent outputs trigger no verification work
 of their own; they are carried only for correlation reporting.
 
 Fetched counts are columns named by :data:`COLUMNS`; a :class:`Dataset` is one row table in that order.
+Every row table, whether built, read, taken or written, is sorted and checked by :func:`_rows`.
 Everything that touches wire or file formats lives in :mod:`joist.ingest`.
 """
 
@@ -56,31 +57,23 @@ def first_violation(table: np.ndarray) -> tuple[int, str] | None:
 
 
 class Dataset:
-    """An ordered, height-unique table of verification samples, one row per block.
+    """A height-unique table of verification samples, one row per block, in height order.
 
     ``table`` is a read-only C-order ``(n, 8)`` int64 array, columns in :data:`COLUMNS`
     order, whose values keep the minimums in ``_MINIMUM``; each name in COLUMNS is a
-    read-only view of its column. Heights strictly increase; :meth:`from_columns` takes
-    rows in any order. Both constructors copy the caller's columns into a new table.
+    read-only view of its column. The constructor takes rows in any order, sorts them
+    stably by height and copies the caller's columns into a new table.
     """
 
     __slots__ = ("table", *COLUMNS)
 
     def __init__(self, data: Mapping[str, ArrayLike]):
-        """Build from a mapping of every name in COLUMNS to a column."""
-        self._hold(_checked(_stacked(data, COLUMNS)))
+        """Build from a mapping of every name in COLUMNS to a column, rows in any order."""
+        self._hold(_stacked(data, COLUMNS))
 
-    def _hold(self, table: np.ndarray) -> None:
-        """Make *table*, whose rows keep the value rules, this dataset's once its heights strictly increase."""
-        if len(table) < 1:
-            raise IntegrityError("a dataset needs at least one sample")
-        h = table[:, 0]
-        steps = np.flatnonzero(h[1:] <= h[:-1])
-        if steps.size:
-            prev, cur = h[steps[0]], h[steps[0] + 1]
-            if cur == prev:
-                raise IntegrityError(f"duplicate height {cur}")
-            raise IntegrityError(f"heights must be strictly increasing ({cur} after {prev})")
+    def _hold(self, table: np.ndarray, checked: bool = False) -> None:
+        """Make *table* this dataset's, sorted and checked by :func:`_rows`."""
+        table = _rows(table, checked)
         table.flags.writeable = False
         for name, value in zip(self.__slots__, (table, *table.T)):
             object.__setattr__(self, name, value)
@@ -102,31 +95,23 @@ class Dataset:
         return f"Dataset({len(self)} rows, heights {self.height[0]}..{self.height[-1]})"
 
     def take(self, indices: ArrayLike) -> "Dataset":
-        """The rows at *indices*, gathered once; they keep the rules already, so only their
-        height order (which must strictly increase) is checked."""
+        """The rows at *indices* (row indices, booleans or a slice), gathered into a new table and
+        sorted stably by height; they keep the value rules already, so those are not checked again."""
         try:
             table = self.table[indices]
         except IndexError as exc:  # an index out of range, or one that is not an int or bool
             raise IntegrityError(f"rows to take: {exc}") from None
-        if table.ndim != 2:
+        if table.shape[1:] != (len(COLUMNS),):
             raise IntegrityError("rows to take must be one sequence of row indices or booleans")
-        taken = object.__new__(Dataset)
-        taken._hold(table)
-        return taken
+        if np.may_share_memory(table, self.table):  # a slice gives a view
+            table = table.copy()
+        return Dataset._from_table(table, checked=True)
 
     @classmethod
-    def from_columns(cls, columns: Mapping[str, ArrayLike]) -> "Dataset":
-        """Build a dataset from columns with rows in any order (stably sorted by height here)."""
-        return cls._from_table(_stacked(columns, COLUMNS))
-
-    @classmethod
-    def _from_table(cls, table: np.ndarray) -> "Dataset":
-        """A dataset of *table*, C-order (n, 8) int64 rows in any order: itself if sorted, else sorted stably."""
-        h = table[:, 0]
-        if not (h[1:] > h[:-1]).all():  # in order already, as in every file write_dataset makes
-            table = table[np.argsort(h, kind="stable")]
+    def _from_table(cls, table: np.ndarray, checked: bool = False) -> "Dataset":
+        """A dataset of *table*, C-order (n, 8) int64 rows in any order, which it keeps if they are sorted."""
         ds = object.__new__(cls)
-        ds._hold(_checked(table))
+        ds._hold(table, checked)
         return ds
 
 
@@ -159,12 +144,25 @@ def _stacked(data: Mapping[str, ArrayLike], names: Sequence[str]) -> np.ndarray:
     return table
 
 
-def _checked(table: np.ndarray) -> np.ndarray:
-    """*table* if its rows keep the value rules; otherwise the error naming the first row that does not."""
-    violation = first_violation(table)
+def _rows(table: np.ndarray, checked: bool = False) -> np.ndarray:
+    """*table*, int64 rows of the first k COLUMNS, sorted stably by height (itself if sorted
+    already). IntegrityError if it has no row, if a row breaks a value rule (the first in height
+    order is named; rows *checked* already are not checked again) or if a height repeats."""
+    if len(table) < 1:
+        raise IntegrityError("a dataset needs at least one sample")
+    h = table[:, 0]
+    increasing = (h[1:] > h[:-1]).all()  # as in every table the package makes
+    if not increasing:
+        table = table[np.argsort(h, kind="stable")]
+    violation = None if checked else first_violation(table)
     if violation is not None:
         i, message = violation
         raise IntegrityError(f"height {table[i, 0]}: {message}")
+    if not increasing:
+        h = table[:, 0]
+        repeats = np.flatnonzero(h[1:] == h[:-1])
+        if repeats.size:
+            raise IntegrityError(f"duplicate height {h[repeats[0]]}")
     return table
 
 

@@ -36,7 +36,7 @@ from .errors import (
     is_int,
     shown,
 )
-from .features import COLUMNS, Dataset, _checked, _stacked, extract_tx_features, first_violation
+from .features import COLUMNS, Dataset, _rows, _stacked, extract_tx_features, first_violation
 from .output import _atomic_write, _csv_chunks
 
 CSV_HEADER = ",".join(COLUMNS)
@@ -220,12 +220,11 @@ def write_features_csv(columns: Mapping[str, np.ndarray], path: str | Path) -> N
     merged in.
 
     Raises:
-        IntegrityError: a column is missing or is not n whole numbers within int64, or a value
-            breaks its column's rule (the first such row in height order is named);
-            nothing is written.
+        IntegrityError: a column is missing or is not n whole numbers within int64, a value
+            breaks its column's rule (the first such row in height order is named), or a
+            height repeats ("duplicate height h"); nothing is written.
     """
-    table = _stacked(columns, COLUMNS[:-1])
-    table = _checked(table[np.argsort(table[:, 0], kind="stable")])
+    table = _rows(_stacked(columns, COLUMNS[:-1]))
     _atomic_write(path, _csv_chunks(CSV_HEADER, [*table.T, np.zeros(len(table), dtype=np.int64)]))
 
 

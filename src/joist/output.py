@@ -46,8 +46,8 @@ def _csv_chunks(header: str, columns: list[np.ndarray]) -> Iterator[bytes]:
     if not len(columns[0]):
         return
     # A float column is formatted once, whole: str() of each distinct bit pattern (so -0.0 is
-    # not 0.0), space-padded to whole pairs, as a (pairs, distinct values) table. The column
-    # itself becomes each row's index into its table.
+    # not 0.0), space-padded to whole pairs, as a C-order (pairs, distinct values) table, which
+    # each block's take reads without a copy. The column becomes each row's index into it.
     columns = list(columns)
     tables = {}
     for i, c in enumerate(columns):
@@ -57,7 +57,7 @@ def _csv_chunks(header: str, columns: list[np.ndarray]) -> Iterator[bytes]:
             width = max(map(len, texts))
             width += width % 2
             table = np.array([s.ljust(width) for s in texts], dtype=f"S{width}")
-            tables[i] = table.view(np.uint16).reshape(len(table), -1).T
+            tables[i] = np.ascontiguousarray(table.view(np.uint16).reshape(len(table), -1).T)
     for start in range(0, len(columns[0]), CHUNK_ROWS):
         yield _format_rows([c[start:start + CHUNK_ROWS] for c in columns], tables)
 

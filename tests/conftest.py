@@ -130,7 +130,7 @@ def predict_block(
 
 def make_dataset(rows) -> Dataset:
     """Rows of (height, size, n_in, n_out, n_spend, n_output, n_js, time_us), in any height order."""
-    return Dataset.from_columns({c: [row[i] for row in rows] for i, c in enumerate(COLUMNS)})
+    return Dataset({c: [row[i] for row in rows] for i, c in enumerate(COLUMNS)})
 
 
 def assert_row_table(ds: Dataset) -> None:
@@ -273,7 +273,7 @@ def reference_read_dataset(raw: bytes, path) -> Dataset:
     columns = _row_columns(raw, path)
     if len(columns["height"]) == 0:
         raise IntegrityError(f"{path}: dataset file has no rows")
-    return Dataset.from_columns(columns)
+    return Dataset(columns)
 
 
 def _row_columns(raw: bytes, path) -> dict[str, np.ndarray]:

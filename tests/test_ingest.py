@@ -321,6 +321,14 @@ def test_write_features_csv_rejects_columns_that_are_not_int64(tmp_path, column,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("heights", [[5, 5], [7, 5, 9, 5]], ids=["adjacent", "apart"])
+def test_write_features_csv_refuses_a_repeated_height_and_writes_nothing(tmp_path, heights):
+    columns = {c: [1] * len(heights) for c in COLUMNS[:-1]} | {"height": heights}
+    with pytest.raises(IntegrityError, match=r"^duplicate height 5$"):
+        write_features_csv(columns, tmp_path / "features.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_features_csv_names_a_missing_column(tmp_path):
     columns = {c: [1, 1] for c in COLUMNS[:-1] if c != "n_joinsplit"} | {"height": [101, 102]}
     with pytest.raises(IntegrityError, match=r"^missing column\(s\): n_joinsplit$"):

@@ -1,15 +1,18 @@
 """Property tests for the input boundaries: dataset CSV, model JSON, synthesis spec, CLI
-arguments and node RPC replies."""
+arguments, node RPC replies and the row-table constructors."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import tempfile
+import types
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -20,10 +23,10 @@ from joist import (
 )
 from joist.cli import main
 from joist.features import COLUMNS, COUNT_COLUMNS
-from joist.ingest import CSV_HEADER, write_dataset
+from joist.ingest import CSV_HEADER, write_dataset, write_features_csv
 from joist.models import PREDICTORS, from_json_dict, to_json_dict
 
-from conftest import RPC_PASS, RPC_USER, reference_read_dataset
+from conftest import RPC_PASS, RPC_USER, assert_row_table, reference_read_dataset
 
 INT64_MAX = 2**63 - 1
 
@@ -45,7 +48,7 @@ def datasets(draw, max_rows=12):
 
     columns = {"height": heights, "size_bytes": column(1), "verify_time_us": column(1)}
     columns.update({name: column(0) for name in COLUMNS[2:7]})
-    return Dataset.from_columns(columns)
+    return Dataset(columns)
 
 
 def _outcome(fn):
@@ -251,6 +254,166 @@ def test_model_json_round_trip(work, model):
     loaded = load_model(path)
     assert loaded == model
     assert json.loads(path.read_text())["kind"] == model.kind.value
+
+
+# ---------------------------------------------------------------------------
+# the row-table constructors: Dataset, Dataset.take and write_features_csv
+# ---------------------------------------------------------------------------
+
+# Each column's least value: sizes and times are positive, heights and counts non-negative.
+_LEAST = {c: int(c in ("size_bytes", "verify_time_us")) for c in COLUMNS}
+
+_ODD_CELLS = st.sampled_from(
+    [-1, 0, 2**63, -(2**63) - 1, 10**30, 10**400, True, False, np.int64(3), np.uint64(2**63), np.int8(-1),
+     np.float64(2.0), np.bool_(True), math.nan, 1.5, "1", None]
+)
+_ODD_COLUMNS = st.sampled_from([5, "12", [[1, 2]], [[1], [1, 2]], {1, 2}, np.int64(4), [1] * 9])
+
+
+@st.composite
+def row_columns(draw):
+    """Columns of up to six rows, heights drawn from a few values so that they repeat and come
+    in any order, with odd cells, odd columns, missing keys or no mapping at all mixed in."""
+    n = draw(st.integers(0, 6))
+    columns = {}
+    for name in COLUMNS:
+        few = st.integers(0, 4) if name == "height" else st.integers(_LEAST[name], _LEAST[name] + 2)
+        columns[name] = draw(st.lists(few | st.integers(_LEAST[name], INT64_MAX), min_size=n, max_size=n))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if n else 0):
+        columns[draw(st.sampled_from(COLUMNS))][draw(st.integers(0, n - 1))] = draw(_ODD_CELLS)
+    for name, cells in columns.items():
+        columns[name] = draw(st.sampled_from([list, tuple, np.array]))(cells)
+    if draw(st.integers(0, 4)) == 4:
+        columns[draw(st.sampled_from(COLUMNS))] = draw(_ODD_COLUMNS)
+    if draw(st.integers(0, 4)) == 4:
+        for name in draw(st.lists(st.sampled_from(COLUMNS), min_size=1, max_size=2)):
+            columns.pop(name, None)
+    form = draw(st.sampled_from(["dict"] * 12 + ["proxy", "pairs", "none"]))
+    return {"dict": columns, "proxy": types.MappingProxyType(columns), "pairs": list(columns.items()), "none": None}[form]
+
+
+def _plain(columns, names) -> bool:
+    """Whether *columns* is a dict whose columns *names* are each n plain ints within int64, in a
+    list, tuple or int64 array: the inputs whose outcome the oracle below fixes."""
+    if type(columns) is not dict or any(name not in columns for name in names):
+        return False
+    cells = [columns[name] for name in names]
+    if any(isinstance(col, np.ndarray) and not (col.dtype == np.int64 and col.ndim == 1) for col in cells):
+        return False
+    return len({len(col) if isinstance(col, (list, tuple, np.ndarray)) else -1 for col in cells}) == 1 and all(
+        type(v) is int and -(2**63) <= v <= INT64_MAX for col in cells for v in np.asarray(col, object).tolist()
+    )
+
+
+def _height_sorted(columns, names) -> list[list[int]]:
+    """The rows of plain or accepted *columns* as ints, sorted stably by height."""
+    return sorted(([int(v) for v in row] for row in zip(*(columns[name] for name in names))), key=lambda r: r[0])
+
+
+def _row_fault(rows: list[list[int]], names) -> str | None:
+    """The error of int *rows* in height order: no rows, the first row that breaks a value rule
+    (its first column that does), or the least repeated height; None if there is none."""
+    if not rows:
+        return "a dataset needs at least one sample"
+    for row in rows:
+        for name, value in zip(names, row):
+            if value < _LEAST[name]:
+                return f"height {row[0]}: {name} must be {'> 0' if _LEAST[name] else '>= 0'}, got {value}"
+    repeats = [a[0] for a, b in zip(rows, rows[1:]) if a[0] == b[0]]
+    return f"duplicate height {repeats[0]}" if repeats else None
+
+
+@settings(_SETTINGS, max_examples=300)
+@given(columns=row_columns())
+@example(columns={c: [3, 1, 3, 2] if c == "height" else [1, 1, 1, 1] for c in COLUMNS})
+@example(columns={c: np.array([5, 2, 9]) if c == "height" else [1, 0, 1] for c in COLUMNS})
+def test_row_table_constructors_give_the_sorted_rows_or_an_integrity_error(work, columns):
+    """Dataset and write_features_csv give the stable height sort of the rows, checked, or an
+    IntegrityError; plain int columns get the error of their first fault in height order."""
+    ds = _outcome(lambda: Dataset(columns))
+    if _plain(columns, COLUMNS):
+        fault = _row_fault(_height_sorted(columns, COLUMNS), COLUMNS)
+        assert ds == (IntegrityError, fault) if fault else isinstance(ds, Dataset)
+    if isinstance(ds, Dataset):
+        expected = _height_sorted(columns, COLUMNS)
+        assert _row_fault(expected, COLUMNS) is None
+        _assert_dataset_of(ds, expected, *columns.values())
+    else:
+        assert ds[0] is IntegrityError
+
+    path = work / "features.csv"
+    path.unlink(missing_ok=True)
+    written = _outcome(lambda: write_features_csv(columns, path))
+    names = COLUMNS[:-1]
+    if _plain(columns, names):
+        fault = _row_fault(_height_sorted(columns, names), names)
+        assert written == ((IntegrityError, fault) if fault else None)
+    if written is None:
+        expected = _height_sorted(columns, names)
+        assert _row_fault(expected, names) is None
+        lines = [CSV_HEADER, *(",".join(map(str, [*row, 0])) for row in expected)]
+        assert path.read_text() == "".join(f"{line}\n" for line in lines)
+    else:
+        assert written[0] is IntegrityError and not path.exists()
+
+
+def _assert_dataset_of(ds: Dataset, expected: list[list[int]], *sources) -> None:
+    """*ds* holds the rows *expected* in one row table that shares no memory with any array of *sources*."""
+    assert ds.table.tolist() == expected
+    assert_row_table(ds)
+    assert not any(isinstance(a, np.ndarray) and np.shares_memory(ds.table, a) for a in sources)
+
+
+_ENDS = st.none() | st.integers(-8, 8)
+
+
+@st.composite
+def row_picks(draw, n):
+    """Indices for Dataset.take of n rows: ints in and out of range, masks of about n booleans,
+    slices, as lists or arrays, or something that is not a sequence of rows."""
+    picks = draw(
+        st.lists(st.integers(-n - 2, n + 1), max_size=8)
+        | st.lists(st.booleans(), min_size=max(n - 1, 1), max_size=n + 1)
+        | st.builds(slice, _ENDS, _ENDS, st.none() | st.integers(-3, 3).filter(bool))
+        | st.sampled_from([None, 0, True, "a", [0.5], [[0, 1]], Ellipsis, (), (slice(None), slice(0, 3))])
+    )
+    if isinstance(picks, list) and all(type(v) in (int, bool) for v in picks) and draw(st.booleans()):
+        return np.array(picks, dtype=bool if picks and type(picks[0]) is bool else np.intp)
+    return picks
+
+
+def _picked(rows: list, indices) -> list | None:
+    """The rows that numpy's indexing picks for *indices*, or None if it picks no rows of the table."""
+    if isinstance(indices, slice):
+        return rows[indices]
+    if indices is Ellipsis or (isinstance(indices, tuple) and not indices):
+        return rows
+    if isinstance(indices, np.ndarray):
+        mask, values = indices.dtype == bool, indices.tolist()
+    elif isinstance(indices, list) and all(type(v) in (int, bool) for v in indices):
+        mask, values = bool(indices) and type(indices[0]) is bool, indices
+    else:
+        return None
+    if mask:
+        return [row for row, keep in zip(rows, values) if keep] if len(values) == len(rows) else None
+    return [rows[i] for i in values] if all(-len(rows) <= i < len(rows) for i in values) else None
+
+
+@settings(_SETTINGS, max_examples=300)
+@given(data=st.data(), ds=datasets(max_rows=6))
+def test_take_gives_the_sorted_rows_or_an_integrity_error(data, ds):
+    indices = data.draw(row_picks(len(ds)))
+    taken = _outcome(lambda: ds.take(indices))
+    picked = _picked(ds.table.tolist(), indices)
+    if picked is None:
+        assert taken[0] is IntegrityError
+        return
+    expected = sorted(picked, key=lambda r: r[0])
+    fault = _row_fault(expected, COLUMNS)
+    if fault:
+        assert taken == (IntegrityError, fault)
+    else:
+        _assert_dataset_of(taken, expected, ds.table)
 
 
 # ---------------------------------------------------------------------------
