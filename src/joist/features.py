@@ -125,8 +125,9 @@ def _stacked(data: Mapping[str, ArrayLike], names: Sequence[str]) -> np.ndarray:
         raise IntegrityError(f"missing column(s): {', '.join(missing)}")
     table = None
     for j, name in enumerate(names):
+        cells = data[name]
         try:
-            col = np.asarray(data[name])
+            col = np.asarray(cells)
         except ValueError as exc:  # a ragged nest of sequences
             raise IntegrityError(f"column {name} is not one column: {exc}") from None
         if table is None:  # the first column sets n
@@ -140,6 +141,10 @@ def _stacked(data: Mapping[str, ArrayLike], names: Sequence[str]) -> np.ndarray:
             raise IntegrityError(f"column {name} has shape {col.shape}, expected ({n},)")
         if not (col.dtype.kind in "iu" and _INT64.min <= col.min() and col.max() <= _INT64.max):
             raise IntegrityError(f"column {name} must hold integers within int64, got dtype {col.dtype}")
+        if isinstance(cells, (list, tuple)):  # numpy makes a bool among ints an int
+            cell = next((v for v in cells if isinstance(v, bool) or getattr(v, "dtype", None) == bool), None)
+            if cell is not None:
+                raise IntegrityError(f"column {name} must hold integers within int64, got {cell!r}")
         table[:, j] = col
     return table
 

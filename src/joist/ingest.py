@@ -30,6 +30,7 @@ from .errors import (
     FormatError,
     HeightRangeError,
     IntegrityError,
+    JoistError,
     ParseError,
     Record,
     RpcConnectionError,
@@ -86,8 +87,12 @@ class RpcEndpoint(Record):
             raise IntegrityError(f"max_parallel must be an int in 1..{MAX_PARALLEL}, got {shown(self.max_parallel)}")
 
 
-def _rpc_call(endpoint: RpcEndpoint, method: str, params: list):
-    """One JSON-RPC 1.0 request on its own connection, straight to the URL's host; returns the result or raises."""
+def _rpc_caller(endpoint: RpcEndpoint):
+    """The endpoint's JSON-RPC 1.0 call, its URL checked and its request parts built once.
+
+    ``call(method, params, error, context)`` sends one request on its own connection, straight to the
+    URL's host, and returns the result; a node's error object raises ``error(f"{context}: {message}")``
+    and a transport, HTTP or JSON fault RpcConnectionError."""
     # Imported on first use: http.client, ssl and email add ~40 ms to every other command's start.
     import base64
     import http.client
@@ -104,47 +109,44 @@ def _rpc_call(endpoint: RpcEndpoint, method: str, params: list):
         raise RpcConnectionError(f"node URL must start with http:// or https://, got {url!r}")
     if not parts.hostname:
         raise RpcConnectionError(f"node URL has no host: {url!r}")
-    payload = json.dumps({"jsonrpc": "1.0", "id": "joist", "method": method, "params": params}).encode()
+    target = (parts.path or "/") + (parts.query and "?" + parts.query)
     # RFC 7617: the credentials are UTF-8. A user:pass@ in the URL is not in its hostname, so it is never sent.
     credentials = base64.b64encode(f"{endpoint.username}:{endpoint.password}".encode()).decode()
     headers = {"Content-Type": "application/json", "Authorization": "Basic " + credentials}
     # HTTPSConnection's default context checks the certificate against the system's trust store.
     connect = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
     port = connect.default_port if parts.port is None else parts.port  # given, so that an IPv6 host is not split
-    try:
-        with closing(connect(parts.hostname, port, timeout=endpoint.timeout)) as connection:
-            connection.request("POST", (parts.path or "/") + (parts.query and "?" + parts.query), payload, headers)
-            with connection.getresponse() as response:
-                status, raw = response.status, response.read(_MAX_REPLY_BYTES + 1)
-                if len(raw) > _MAX_REPLY_BYTES:
-                    raise RpcConnectionError(f"reply from {url} is longer than the {_MAX_REPLY_BYTES}-byte limit")
-                response.read()  # raises IncompleteRead if the body was cut short
-    except (OSError, ValueError, http.client.HTTPException) as exc:
-        raise RpcConnectionError(f"cannot reach node at {url}: {exc}") from exc
-    if 300 <= status < 400:
-        raise RpcConnectionError(f"redirect (HTTP {status}) from {url}; a fetch follows none")
-    if status in (401, 403):
-        raise RpcConnectionError(f"authentication rejected by {url}")
-    try:
-        body = json.loads(raw)
-    except (ValueError, RecursionError) as exc:
-        raise RpcConnectionError(f"non-JSON response from {url} (HTTP {status})") from exc
-    if not isinstance(body, Mapping):
-        raise RpcConnectionError(f"malformed RPC response from {url}")
-    error = body.get("error")
-    if error:
-        if not isinstance(error, Mapping):
-            raise RpcConnectionError(f"malformed RPC error from {url}: {error!r}")
-        # Callers translate method-specific errors; anything else is remote trouble.
-        raise _RpcServerError(error.get("code"), error.get("message", ""))
-    return body.get("result")
 
+    def call(method: str, params: list, error: type[JoistError], context: str):
+        payload = json.dumps({"jsonrpc": "1.0", "id": "joist", "method": method, "params": params}).encode()
+        try:
+            with closing(connect(parts.hostname, port, timeout=endpoint.timeout)) as connection:
+                connection.request("POST", target, payload, headers)
+                with connection.getresponse() as response:
+                    status, raw = response.status, response.read(_MAX_REPLY_BYTES + 1)
+                    if len(raw) > _MAX_REPLY_BYTES:
+                        raise RpcConnectionError(f"reply from {url} is longer than the {_MAX_REPLY_BYTES}-byte limit")
+                    response.read()  # raises IncompleteRead if the body was cut short
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            raise RpcConnectionError(f"cannot reach node at {url}: {exc}") from exc
+        if 300 <= status < 400:
+            raise RpcConnectionError(f"redirect (HTTP {status}) from {url}; a fetch follows none")
+        if status in (401, 403):
+            raise RpcConnectionError(f"authentication rejected by {url}")
+        try:
+            body = json.loads(raw)
+        except (ValueError, RecursionError) as exc:
+            raise RpcConnectionError(f"non-JSON response from {url} (HTTP {status})") from exc
+        if not isinstance(body, Mapping):
+            raise RpcConnectionError(f"malformed RPC response from {url}")
+        node_error = body.get("error")
+        if node_error:
+            if not isinstance(node_error, Mapping):
+                raise RpcConnectionError(f"malformed RPC error from {url}: {node_error!r}")
+            raise error(f"{context}: {node_error.get('message', '')}")
+        return body.get("result")
 
-class _RpcServerError(Exception):
-    def __init__(self, code, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+    return call
 
 
 def _block_row(block: Mapping, height: int) -> list[int]:
@@ -172,26 +174,12 @@ def _block_row(block: Mapping, height: int) -> list[int]:
     return row
 
 
-def _fetch_one(endpoint: RpcEndpoint, height: int) -> list[int]:
-    try:
-        block_hash = _rpc_call(endpoint, "getblockhash", [height])
-    except _RpcServerError as exc:
-        raise HeightRangeError(f"height {height} unknown to node: {exc.message}") from exc
-    try:
-        block = _rpc_call(endpoint, "getblock", [block_hash, _DECODED_TX_VERBOSITY])
-    except _RpcServerError as exc:
-        raise RpcConnectionError(f"getblock failed for height {height}: {exc.message}") from exc
-    if not isinstance(block, Mapping):
-        raise ParseError(f"block {height}: block record is not an object")
-    return _block_row(block, height)
-
-
 def fetch_block_features(endpoint: RpcEndpoint, height_range: tuple[int, int]) -> dict[str, np.ndarray]:
     """Fetch features for every height in the inclusive range, in height order.
 
-    Returns an int64 column for each name in COLUMNS but the time. Up to
-    ``endpoint.max_parallel`` requests run concurrently; rows are assembled
-    in ascending height order regardless of completion order.
+    Returns an int64 column for each name in COLUMNS but the time. The endpoint's URL is
+    checked once, before any request. Up to ``endpoint.max_parallel`` requests run
+    concurrently; rows are assembled in ascending height order regardless of completion order.
     """
     lo, hi = height_range
     if lo > hi:
@@ -199,16 +187,32 @@ def fetch_block_features(endpoint: RpcEndpoint, height_range: tuple[int, int]) -
     if lo < 0:
         raise HeightRangeError(f"height must be >= 0, got {lo}")
     heights = range(lo, hi + 1)
+    call = _rpc_caller(endpoint)
+
+    def fetch_one(height: int) -> list[int]:
+        block_hash = call("getblockhash", [height], HeightRangeError, f"height {height} unknown to node")
+        params = [block_hash, _DECODED_TX_VERBOSITY]
+        block = call("getblock", params, RpcConnectionError, f"getblock failed for height {height}")
+        if not isinstance(block, Mapping):
+            raise ParseError(f"block {height}: block record is not an object")
+        return _block_row(block, height)
+
     # Imported on first use: concurrent.futures pulls in logging and adds ~7 ms to every other command's start.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=min(endpoint.max_parallel, len(heights))) as pool:
-        table = np.array(list(pool.map(lambda h: _fetch_one(endpoint, h), heights)), dtype=np.int64)
+        table = np.array(list(pool.map(fetch_one, heights)), dtype=np.int64)
     return dict(zip(COLUMNS[:-1], table.T))
 
 
 def write_dataset(ds: Dataset, path: str | Path) -> None:
-    """Write the dataset in the interchange CSV format, rows sorted by height."""
+    """Write the dataset in the interchange CSV format, rows sorted by height.
+
+    Raises:
+        IntegrityError: if *ds* is not a Dataset or *path* is not a path.
+    """
+    if not isinstance(ds, Dataset):
+        raise IntegrityError(f"dataset must be a Dataset, got {shown(ds)}")
     _atomic_write(path, _csv_chunks(CSV_HEADER, list(ds.table.T)))
 
 

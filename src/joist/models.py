@@ -92,6 +92,10 @@ def predict(model: ModelSpec, ds: Dataset) -> np.ndarray:
     last. A prediction beyond float range is inf or NaN, without a warning;
     the statistics and plot writers reject it as a NumericalError.
     """
+    if not isinstance(model, ModelSpec):
+        raise IntegrityError(f"model must be a ModelSpec, got {shown(model)}")
+    if not isinstance(ds, Dataset):
+        raise IntegrityError(f"dataset must be a Dataset, got {shown(ds)}")
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for name in PREDICTORS[model.kind]:
@@ -142,11 +146,14 @@ def save_model(model: ModelSpec, path: str | Path) -> None:
     """Write the model as JSON (full shortest-round-trip float precision).
 
     Raises:
+        IntegrityError: if *model* is not a ModelSpec or *path* is not a path.
         FormatError: if a coefficient or the intercept is not finite; JSON
             has no literal for it and nothing is written.
     """
     import json
 
+    if not isinstance(model, ModelSpec):
+        raise IntegrityError(f"model must be a ModelSpec, got {shown(model)}")
     try:
         text = json.dumps(to_json_dict(model), allow_nan=False)
     except ValueError as exc:

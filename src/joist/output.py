@@ -18,6 +18,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .errors import IntegrityError, shown
+
 # A temporary file is named ".<target name>.<8 hex digits>" + TEMP_SUFFIX.
 TEMP_SUFFIX = ".joist-tmp"
 
@@ -99,7 +101,11 @@ def _atomic_write(
     file gets the mode a plain ``open()`` gives it under the umask; a
     replaced file keeps its mode. On any exception, ``KeyboardInterrupt``
     included, the temporary files are removed and the targets are untouched.
+    IntegrityError if a path is not a str or os.PathLike; nothing is written.
     """
+    for target, _ in ((path, chunks), *more):
+        if not isinstance(target, (str, os.PathLike)):
+            raise IntegrityError(f"path must be a str or os.PathLike, got {shown(target)}")
     staged: list[tuple[str, str]] = []
     try:
         for target, parts in ((path, chunks), *more):

@@ -30,6 +30,7 @@ raises :class:`NumericalError`.
 from __future__ import annotations
 
 from math import fsum, sqrt
+from numbers import Real
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -37,10 +38,13 @@ import numpy as np
 from .errors import (
     DegenerateDataError,
     DegenerateVarianceError,
+    IntegrityError,
     NumericalError,
     Record,
     SampleCountError,
     ShapeError,
+    is_int,
+    shown,
 )
 
 if TYPE_CHECKING:
@@ -148,7 +152,8 @@ def centred(x: ArrayLike) -> Centred:
     """The two-pass centred moments of a non-empty series."""
     x = _floats(x)
     mean = exact_sum(x) / len(x)
-    deviations = x - mean
+    with np.errstate(over="ignore"):  # a deviation beyond float range is refused by sum_squares
+        deviations = x - mean
     return Centred(mean, deviations, sum_squares(deviations))
 
 
@@ -176,7 +181,7 @@ def correlation(x: Centred, t: Centred) -> float:
 def adjusted_r_squared(r2: float, n: int, p: int) -> float:
     """R^2 penalized for predictor count p; requires n > p + 1."""
     if n <= p + 1:
-        raise SampleCountError(f"need n > p + 1 (n={n}, p={p})")
+        raise SampleCountError(f"need n > p + 1 (n={n}, p={shown(p)})")
     return 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
 
 
@@ -194,6 +199,25 @@ class EvalReport(Record):
     mean_observed_us: float
 
 
+def _series(x: ArrayLike, what: str) -> np.ndarray:
+    """*x* as a float64 array; ShapeError if it is ragged or one value, IntegrityError if a
+    value is not a real number (a bool, a string, None) or is beyond float range."""
+    try:
+        values = np.asarray(x)
+    except ValueError as exc:  # a ragged nest of sequences
+        raise ShapeError(f"{what} are not one array: {exc}") from None
+    if values.ndim == 0:
+        raise ShapeError(f"{what} must be a sequence, got {shown(x)}")
+    if values.dtype.kind == "O" and all(isinstance(v, Real) and not isinstance(v, bool) for v in values.flat):
+        try:  # ints beyond int64, or numbers of mixed types
+            values = values.astype(np.float64)
+        except OverflowError:
+            raise IntegrityError(f"{what} must be within float range") from None
+    if values.dtype.kind not in "iuf":
+        raise IntegrityError(f"{what} must be real numbers, got dtype {values.dtype}")
+    return values.astype(np.float64, copy=False)
+
+
 def evaluate(t: ArrayLike, t_hat: ArrayLike, n_predictors: int) -> EvalReport:
     """Full evaluation of predictions against observations.
 
@@ -202,28 +226,39 @@ def evaluate(t: ArrayLike, t_hat: ArrayLike, n_predictors: int) -> EvalReport:
     for a model worse than the mean.
 
     Raises, checking in this order:
+        IntegrityError: if n_predictors is not an int >= 0.
+        ShapeError, IntegrityError: if an input is ragged or one value, or a value is not a
+            real number within float range (see :func:`_series`).
         ShapeError: if the lengths differ, or the input is empty.
-        NumericalError: if a prediction or an observed value is not finite.
+        NumericalError: if a prediction is not finite.
+        ShapeError: if an input has more than one dimension.
+        NumericalError: if an observed value is not finite.
         ShapeError: if there are fewer than two observations.
         DegenerateVarianceError: if the observed series is constant.
-        NumericalError: if a square or sum is beyond float range.
+        NumericalError: if a difference, square or sum is beyond float range.
         DegenerateDataError: if the mean observed value is not positive.
         SampleCountError: unless n > n_predictors + 1.
     """
+    if not (is_int(n_predictors) and n_predictors >= 0):
+        raise IntegrityError(f"n_predictors must be an int >= 0, got {shown(n_predictors)}")
+    t, t_hat = _series(t, "observed values"), _series(t_hat, "predictions")
     if len(t) != len(t_hat):
         raise ShapeError(f"length mismatch: {len(t)} observed vs {len(t_hat)} predicted")
     n = len(t)
     if n == 0:
         raise ShapeError("empty input")
-    t, t_hat = _floats(t), _floats(t_hat)
     require_finite(t_hat, "predictions")
+    if t.ndim != 1 or t_hat.ndim != 1:
+        shapes = f"got shapes {t.shape} and {t_hat.shape}"
+        raise ShapeError(f"observed values and predictions must be one-dimensional, {shapes}")
     observed = centred(t)
     if n < 2:
         raise ShapeError(f"need at least 2 observations, got {n}")
     if observed.sum_squares == 0.0:
         raise DegenerateVarianceError("observed series is constant; R^2 undefined")
     # |t - t_hat| squares to the same bits as t - t_hat: pow squares |v|.
-    abs_errors = np.abs(t - t_hat)
+    with np.errstate(over="ignore"):  # an error beyond float range is refused by sum_squares
+        abs_errors = np.abs(t - t_hat)
     r2 = 1.0 - sum_squares(abs_errors) / observed.sum_squares
     max_prediction_us = float(t_hat.max())
     mae_us = exact_sum(abs_errors) / n

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 import math
 import re
 from fractions import Fraction
 import ssl
 import threading
 from http.server import ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -428,6 +430,28 @@ def test_fetch_serial_and_parallel_agree(rpc_server):
     assert all(np.array_equal(serial[c], parallel[c]) for c in serial)
 
 
+def test_fetch_checks_the_endpoint_url_once(rpc_server, monkeypatch):
+    calls = []
+
+    def counted(url, *args, **kwargs):
+        calls.append(url)
+        return urlsplit(url, *args, **kwargs)
+
+    monkeypatch.setattr(joist.ingest, "urlsplit", counted)
+    assert fetch_block_features(_endpoint(rpc_server, max_parallel=3), (100, 102))["height"].tolist() == [100, 101, 102]
+    assert calls == [rpc_server]
+
+
+def test_fetch_of_one_height_makes_two_requests(drawn_reply_server):
+    url, served = drawn_reply_server
+    block = {"size": 285, "tx": [{"vin": [{"coinbase": "00"}], "vout": [{}]}]}
+    replies = [{"result": "00ab", "error": None, "id": "joist"}, {"result": block, "error": None, "id": "joist"}]
+    served[:] = [(200, json.dumps(reply).encode(), 0) for reply in [*replies, replies[0]]]
+    assert fetch_block_features(_endpoint(url), (7, 7))["size_bytes"].tolist() == [285]
+    assert len(served) == 1  # the third reply is left unread
+    served.clear()
+
+
 def test_fetch_block_missing_size_field(rpc_server):
     with pytest.raises(ParseError, match="size"):
         fetch_block_features(_endpoint(rpc_server), (103, 103))
@@ -615,3 +639,20 @@ def test_fetch_https_trusts_the_default_verify_paths(tls_rpc_server, monkeypatch
     monkeypatch.setenv("SSL_CERT_FILE", str(cert_path))
     assert fetch_block_features(_endpoint(url, timeout=5.0), (100, 100))["size_bytes"].tolist() == [285]
 
+
+
+@pytest.mark.parametrize(
+    "ds, path, message",
+    [
+        ({"height": [1]}, "out.csv", "dataset must be a Dataset, got {'height': [1]}"),
+        (make_dataset(_ROWS), None, "path must be a str or os.PathLike, got None"),
+        (make_dataset(_ROWS), b"out.csv", "path must be a str or os.PathLike, got b'out.csv'"),
+    ],
+    ids=["mapping", "none", "bytes"],
+)
+def test_write_dataset_refuses_wrong_argument_types(tmp_path, monkeypatch, ds, path, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(IntegrityError) as excinfo:
+        write_dataset(ds, path)
+    assert str(excinfo.value) == message
+    assert list(tmp_path.iterdir()) == []

@@ -13,6 +13,7 @@ from joist import (
     ModelSpec,
     load_model,
     n_predictors,
+    predict,
     save_model,
 )
 from joist.features import COUNT_COLUMNS
@@ -257,3 +258,20 @@ def test_save_model_refuses_non_finite_values(tmp_path):
     with pytest.raises(FormatError, match="non-finite"):
         save_model(model, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda path: predict(GERVAIS_BASELINE, {"byte": [1]}), "dataset must be a Dataset, got {'byte': [1]}"),
+        (lambda path: predict({"kind": "joist"}, None), "model must be a ModelSpec, got {'kind': 'joist'}"),
+        (lambda path: save_model({"kind": "joist"}, path), "model must be a ModelSpec, got {'kind': 'joist'}"),
+        (lambda path: save_model(GERVAIS_BASELINE, None), "path must be a str or os.PathLike, got None"),
+    ],
+    ids=["predict-dataset", "predict-model", "save-model", "save-path"],
+)
+def test_wrong_argument_types_are_integrity_errors(tmp_path, call, message):
+    with pytest.raises(IntegrityError) as excinfo:
+        call(tmp_path / "model.json")
+    assert str(excinfo.value) == message
+    assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,5 @@
 """Property tests for the input boundaries: dataset CSV, model JSON, synthesis spec, CLI
-arguments, node RPC replies and the row-table constructors."""
+arguments, node RPC replies, the row-table constructors and the other library entry points."""
 
 from __future__ import annotations
 
@@ -18,13 +18,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from joist import (
-    Dataset, IntegrityError, JoistError, ModelKind, ModelSpec, RemoteError, RpcEndpoint, fetch_block_features,
-    load_model, load_synth_spec, read_dataset, save_model,
+    Dataset, EvalReport, IntegrityError, JoistError, ModelKind, ModelSpec, RemoteError,
+    RpcEndpoint, SplitPlan, SynthSpec, evaluate, fetch_block_features, load_model, load_synth_spec,
+    predict, read_dataset, save_model,
 )
 from joist.cli import main
 from joist.features import COLUMNS, COUNT_COLUMNS
 from joist.ingest import CSV_HEADER, write_dataset, write_features_csv
 from joist.models import PREDICTORS, from_json_dict, to_json_dict
+from joist.output import TEMP_SUFFIX
 
 from conftest import RPC_PASS, RPC_USER, assert_row_table, reference_read_dataset
 
@@ -267,6 +269,7 @@ _ODD_CELLS = st.sampled_from(
     [-1, 0, 2**63, -(2**63) - 1, 10**30, 10**400, True, False, np.int64(3), np.uint64(2**63), np.int8(-1),
      np.float64(2.0), np.bool_(True), math.nan, 1.5, "1", None]
 )
+_BOOLS = st.sampled_from([True, False, np.bool_(True), np.bool_(False)])
 _ODD_COLUMNS = st.sampled_from([5, "12", [[1, 2]], [[1], [1, 2]], {1, 2}, np.int64(4), [1] * 9])
 
 
@@ -281,6 +284,8 @@ def row_columns(draw):
         columns[name] = draw(st.lists(few | st.integers(_LEAST[name], INT64_MAX), min_size=n, max_size=n))
     for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if n else 0):
         columns[draw(st.sampled_from(COLUMNS))][draw(st.integers(0, n - 1))] = draw(_ODD_CELLS)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if n else 0):  # a bool among the ints
+        columns[draw(st.sampled_from(COLUMNS))][draw(st.integers(0, n - 1))] = draw(_BOOLS)
     for name, cells in columns.items():
         columns[name] = draw(st.sampled_from([list, tuple, np.array]))(cells)
     if draw(st.integers(0, 4)) == 4:
@@ -305,6 +310,29 @@ def _plain(columns, names) -> bool:
     )
 
 
+def _bool_fault(columns, names) -> str | None:
+    """For *columns* that are plain (see :func:`_plain`) once each bool cell is read as its int:
+    the error of the first column in *names* that is a list or tuple holding a bool, which numpy
+    reads as an int among ints (its first bool is shown) and as a bool among bools only; None if
+    there is none, or if the columns are not plain that way."""
+    if type(columns) is not dict:
+        return None
+
+    def is_bool(v) -> bool:
+        return isinstance(v, (bool, np.bool_))
+
+    sequences = {name: col for name, col in columns.items() if isinstance(col, (list, tuple))}
+    as_ints = {**columns, **{name: [int(v) if is_bool(v) else v for v in col] for name, col in sequences.items()}}
+    if not _plain(as_ints, names):
+        return None
+    for name in names:
+        bools = [v for v in sequences.get(name, ()) if is_bool(v)]
+        if bools:
+            got = "dtype bool" if len(bools) == len(columns[name]) else repr(bools[0])
+            return f"column {name} must hold integers within int64, got {got}"
+    return None
+
+
 def _height_sorted(columns, names) -> list[list[int]]:
     """The rows of plain or accepted *columns* as ints, sorted stably by height."""
     return sorted(([int(v) for v in row] for row in zip(*(columns[name] for name in names))), key=lambda r: r[0])
@@ -327,10 +355,16 @@ def _row_fault(rows: list[list[int]], names) -> str | None:
 @given(columns=row_columns())
 @example(columns={c: [3, 1, 3, 2] if c == "height" else [1, 1, 1, 1] for c in COLUMNS})
 @example(columns={c: np.array([5, 2, 9]) if c == "height" else [1, 0, 1] for c in COLUMNS})
+@example(columns={c: [True, 1] if c == "n_spend" else [2, 1] for c in COLUMNS})
+@example(columns={c: (1, np.bool_(False)) if c == "n_joinsplit" else [True, True] if c == "n_spend" else [2, 1]
+                  for c in COLUMNS})
 def test_row_table_constructors_give_the_sorted_rows_or_an_integrity_error(work, columns):
     """Dataset and write_features_csv give the stable height sort of the rows, checked, or an
-    IntegrityError; plain int columns get the error of their first fault in height order."""
+    IntegrityError; plain int columns get the error of their first fault in height order, and
+    int columns with a bool cell the error of their first such column."""
     ds = _outcome(lambda: Dataset(columns))
+    if _bool_fault(columns, COLUMNS):
+        assert ds == (IntegrityError, _bool_fault(columns, COLUMNS))
     if _plain(columns, COLUMNS):
         fault = _row_fault(_height_sorted(columns, COLUMNS), COLUMNS)
         assert ds == (IntegrityError, fault) if fault else isinstance(ds, Dataset)
@@ -345,6 +379,8 @@ def test_row_table_constructors_give_the_sorted_rows_or_an_integrity_error(work,
     path.unlink(missing_ok=True)
     written = _outcome(lambda: write_features_csv(columns, path))
     names = COLUMNS[:-1]
+    if _bool_fault(columns, names):
+        assert written == (IntegrityError, _bool_fault(columns, names))
     if _plain(columns, names):
         fault = _row_fault(_height_sorted(columns, names), names)
         assert written == ((IntegrityError, fault) if fault else None)
@@ -414,6 +450,102 @@ def test_take_gives_the_sorted_rows_or_an_integrity_error(data, ds):
         assert taken == (IntegrityError, fault)
     else:
         _assert_dataset_of(taken, expected, ds.table)
+
+
+# ---------------------------------------------------------------------------
+# the other library entry points: records, writers, predict and evaluate
+# ---------------------------------------------------------------------------
+
+# Values of the wrong type or range for any argument: huge ints, bools, numpy scalars, NaN,
+# strings, and ragged, 2-D or nested arrays.
+_ODD = st.sampled_from(
+    [None, True, False, -1, 0, 2.5, 10**30, 10**5000, -(10**5000), np.int64(3), np.float64(2.5), np.bool_(True),
+     np.uint64(2**63), math.nan, math.inf, -0.0, "1", "", b"x", [[1, 2], [3]], np.zeros((2, 2)), [1, [2]],
+     [10**5000], {}, {"a": 1}, ModelKind.JOIST]
+)
+
+
+def _either(draw, usual, odd=_ODD):
+    """A value drawn from *usual*, or one time in three from *odd*."""
+    return draw(odd) if draw(st.integers(0, 2)) == 0 else draw(usual)
+
+
+@st.composite
+def model_args(draw):
+    """ModelSpec fields: coefficients with names missing or added, and any field of any value."""
+    kind = _either(draw, st.sampled_from(list(ModelKind)))
+    names = draw(st.lists(st.sampled_from(PREDICTORS.get(kind, ("byte",)) if isinstance(kind, ModelKind) else ["x"])))
+    names += draw(st.lists(st.sampled_from(["byte", "spend", "other"]), max_size=1))
+    coefficients = _either(draw, st.just({name: _either(draw, _FINITE) for name in names}))
+    return kind, coefficients, _either(draw, st.just(0.0) | _FINITE)
+
+
+@st.composite
+def count_ranges(draw):
+    """Count ranges with a key missing, or pairs reversed, of the wrong length or holding odd values."""
+    names = draw(st.lists(st.sampled_from(PREDICTORS[ModelKind.JOIST]), unique=True, min_size=3))
+    pair = st.tuples(st.integers(0, 50), st.integers(0, 50)).map(sorted) | st.lists(st.integers(-2, 10**20), max_size=3)
+    return {name: _either(draw, pair, st.tuples(_ODD, st.integers(0, 5))) for name in names}
+
+
+@settings(_SETTINGS, max_examples=300)
+@given(data=st.data())
+def test_records_give_a_value_or_a_joist_error(data):
+    """SplitPlan, RpcEndpoint, ModelSpec and SynthSpec, each given any values for its fields."""
+    draw = data.draw
+    for record, fields in (
+        (SplitPlan, [_either(draw, st.integers(0, 2**64 - 1)), _either(draw, st.integers(1, 10))]),
+        (RpcEndpoint, [*(_either(draw, st.text(max_size=4)) for _ in range(3)),
+                       _either(draw, st.floats(1e-3, 1e3)), _either(draw, st.integers(1, 64))]),
+        (ModelSpec, draw(model_args())),
+        (SynthSpec, [_either(draw, models()), _either(draw, st.floats(0, 1e3)), _either(draw, count_ranges()),
+                     _either(draw, st.integers(1, 50)), _either(draw, st.integers(0, 2**64 - 1))]),
+    ):
+        made = _outcome(lambda: record(*fields))
+        assert isinstance(made, record) or issubclass(made[0], JoistError)
+
+
+@st.composite
+def series(draw, n):
+    """n floats, a few of them odd values, as a list, tuple or array; or an odd value in place of the series."""
+    values = draw(st.lists(st.floats(-1e6, 1e6) | st.floats(), min_size=n, max_size=n))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1])) if n else 0):
+        values[draw(st.integers(0, n - 1))] = draw(_ODD)
+    forms = [list, tuple, np.array] if all(isinstance(v, float) for v in values) else [list, tuple]
+    return _either(draw, st.sampled_from(forms).map(lambda form: form(values)))
+
+
+@settings(_SETTINGS, max_examples=300)
+@given(t=st.integers(0, 6).flatmap(lambda n: st.tuples(series(n), series(n))), p=_ODD | st.integers(0, 4))
+@example(t=([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), p=10**5000)
+@example(t=([1.7e308, -1.7e308, 1e308], [0.0, 0.0, 0.0]), p=0)  # deviations beyond float range
+@example(t=([1e308, 1.5e308, 1.0], [-1e308, 0.0, 0.0]), p=0)  # an error beyond float range
+def test_evaluate_gives_a_report_or_a_joist_error(t, p):
+    report = _outcome(lambda: evaluate(*t, p))
+    assert isinstance(report, EvalReport) and report.n == len(t[0]) or issubclass(report[0], JoistError)
+
+
+@settings(_SETTINGS, max_examples=200)
+@given(model=_ODD | models(), ds=_ODD | datasets(max_rows=4))
+def test_predict_gives_predictions_or_a_joist_error(model, ds):
+    predicted = _outcome(lambda: predict(model, ds))
+    assert isinstance(predicted, np.ndarray) and predicted.shape == (len(ds),) or predicted[0] is IntegrityError
+
+
+_PATHS = st.sampled_from(["valid", None, 5, b"bytes", 2.5, ["a"], np.int64(1)])
+
+
+@settings(_SETTINGS, max_examples=200)
+@given(model=_ODD | models(), ds=_ODD | datasets(max_rows=4), path=_PATHS)
+def test_writers_write_or_raise_a_joist_error_and_write_nothing(work, model, ds, path):
+    """save_model and write_dataset write the file, or raise a JoistError and write nothing."""
+    target = work / "written"
+    for write, value in ((save_model, model), (write_dataset, ds)):
+        target.unlink(missing_ok=True)
+        written = _outcome(lambda: write(value, target if path == "valid" else path))
+        assert written is None and path == "valid" and target.exists() or issubclass(written[0], JoistError)
+        assert written is None or not target.exists()
+    assert not list(work.glob(f"*{TEMP_SUFFIX}"))
 
 
 # ---------------------------------------------------------------------------

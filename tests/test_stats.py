@@ -10,6 +10,7 @@ from joist import (
     DegenerateDataError,
     DegenerateVarianceError,
     EvalReport,
+    IntegrityError,
     NumericalError,
     SampleCountError,
     ShapeError,
@@ -255,6 +256,37 @@ def test_evaluate_matches_per_element_reference_bit_for_bit():
     ids=["length", "empty", "finite", "finite-2-d", "count", "constant", "mean", "predictors"],
 )
 def test_evaluate_check_order(t, t_hat, p, error, message):
+    with pytest.raises(error, match=message) as excinfo:
+        evaluate(t, t_hat, p)
+    assert type(excinfo.value) is error
+
+
+@pytest.mark.parametrize(
+    "t, t_hat, p, error, message",
+    [
+        (["a", "b", "c"], [1, 2, 3], 1, IntegrityError, "^observed values must be real numbers, got dtype <U1$"),
+        ([1.0, 2.0, 3.0], [1.0, None, 3.0], 1, IntegrityError, "^predictions must be real numbers, got dtype object$"),
+        ([True, False, True], [1.0, 2.0, 3.0], 0, IntegrityError, "^observed values must be real numbers, got dtype b"),
+        ([10**400, 2, 3], [1.0, 2.0, 3.0], 0, IntegrityError, "^observed values must be within float range$"),
+        ([[1.0], [1.0, 2.0], [3.0]], [1.0, 2.0, 3.0], 1, ShapeError, "^observed values are not one array: "),
+        (5.0, [5.0], 1, ShapeError, "^observed values must be a sequence, got 5.0$"),
+        (
+            np.arange(1.0, 7.0).reshape(3, 2),
+            np.ones((3, 2)),
+            1,
+            ShapeError,
+            r"^observed values and predictions must be one-dimensional, got shapes \(3, 2\) and \(3, 2\)$",
+        ),
+        ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], "1", IntegrityError, "^n_predictors must be an int >= 0, got '1'$"),
+        ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], True, IntegrityError, "^n_predictors must be an int >= 0, got True$"),
+        ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], -1, IntegrityError, "^n_predictors must be an int >= 0, got -1$"),
+        ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 10**5000, SampleCountError, r"p=1(0){19}\.\.\.\(5001 digits\)\)$"),
+        ([1.7e308, -1.7e308, 1e308], [0.0, 0.0, 0.0], 0, NumericalError, "not finite"),
+    ],
+    ids=["strings", "none", "bools", "beyond-float", "ragged", "scalar", "2-d", "p-str", "p-bool", "p-negative",
+         "p-5001-digits", "deviation-overflow"],
+)
+def test_evaluate_refuses_what_is_not_one_series_of_numbers(t, t_hat, p, error, message):
     with pytest.raises(error, match=message) as excinfo:
         evaluate(t, t_hat, p)
     assert type(excinfo.value) is error
