@@ -233,8 +233,9 @@ class SynthSpec(Record):
 
     Raises:
         SynthSpecError: if a field has the wrong type or is out of range, if the
-            count ranges allow block sizes beyond int64, or if the true model
-            value is <= 0 over the entire count box, so no time can be positive.
+            count ranges allow block sizes beyond int64, or if the true model's
+            best value over the count box is not > 0 (NaN included), so no time
+            can be positive.
     """
 
     true_model: ModelSpec
@@ -278,7 +279,7 @@ class SynthSpec(Record):
         for name in names:
             c, (lo, hi) = model.coefficients[name], ranges[name]
             best += c * (hi if c >= 0 else lo)
-        if best <= 0:
+        if not best > 0:  # NaN too, as inf + -inf gives
             raise SynthSpecError(f"count ranges force non-positive times (best achievable model value {best})")
 
 

@@ -63,6 +63,10 @@ MAX_PARALLEL = 64
 # is an int of milliseconds, at most 2**31 - 1 (about 24.8 days); a longer one wraps.
 MAX_TIMEOUT_S = 2_147_483
 
+# Heights a fetch has in flight per worker: each window of them is submitted at once, and its
+# rows go into the table before the next window starts, so the futures alive stay bounded.
+_WINDOW_PER_WORKER = 256
+
 
 class RpcEndpoint(Record):
     """A node's JSON-RPC endpoint with basic-auth credentials."""
@@ -155,7 +159,7 @@ def _block_row(block: Mapping, height: int) -> list[int]:
     if not isinstance(txs, list) or not txs:
         raise ParseError(f'block {height}: missing mandatory list "tx"')
     size = block.get("size")
-    if not isinstance(size, int) or isinstance(size, bool):
+    if not is_int(size):
         raise ParseError(f'block {height}: missing integer field "size"')
     if size > _INT64.max:
         raise ParseError(f"block {height}: size {size} does not fit the dataset format's int64")
@@ -167,26 +171,29 @@ def _block_row(block: Mapping, height: int) -> list[int]:
         counts = [sum(c) for c in zip(*map(extract_tx_features, txs))]
     except (ParseError, IntegrityError) as exc:
         raise type(exc)(f"block {height}: {exc}") from exc
-    row = [height, size, *counts]
-    violation = first_violation(np.array([row]))
-    if violation is not None:
-        raise IntegrityError(f"block {height}: {violation[1]}")
-    return row
+    if size < 1:  # the one value rule a row can break: its counts are list lengths, its height >= 0
+        raise IntegrityError(f"block {height}: size_bytes must be > 0, got {size}")
+    return [height, size, *counts]
 
 
 def fetch_block_features(endpoint: RpcEndpoint, height_range: tuple[int, int]) -> dict[str, np.ndarray]:
     """Fetch features for every height in the inclusive range, in height order.
 
     Returns an int64 column for each name in COLUMNS but the time. The endpoint's URL is
-    checked once, before any request. Up to ``endpoint.max_parallel`` requests run
-    concurrently; rows are assembled in ascending height order regardless of completion order.
+    checked once, before any request. Up to ``endpoint.max_parallel`` requests run concurrently,
+    over one window of heights at a time; rows fill one table in ascending height order.
     """
     lo, hi = height_range
     if lo > hi:
         raise HeightRangeError(f"empty height range [{lo}, {hi}]")
     if lo < 0:
         raise HeightRangeError(f"height must be >= 0, got {lo}")
-    heights = range(lo, hi + 1)
+    if hi > _INT64.max:
+        raise HeightRangeError(f"height must be <= {_INT64.max}, got {shown(hi)}")
+    try:  # numpy refuses a table beyond its size limit or the address space before touching memory
+        table = np.empty((hi - lo + 1, len(COLUMNS) - 1), dtype=np.int64)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise HeightRangeError(f"height range [{lo}, {hi}] is too large to fetch: {exc}") from exc
     call = _rpc_caller(endpoint)
 
     def fetch_one(height: int) -> list[int]:
@@ -200,8 +207,10 @@ def fetch_block_features(endpoint: RpcEndpoint, height_range: tuple[int, int]) -
     # Imported on first use: concurrent.futures pulls in logging and adds ~7 ms to every other command's start.
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=min(endpoint.max_parallel, len(heights))) as pool:
-        table = np.array(list(pool.map(fetch_one, heights)), dtype=np.int64)
+    window = _WINDOW_PER_WORKER * endpoint.max_parallel
+    with ThreadPoolExecutor(max_workers=min(endpoint.max_parallel, len(table))) as pool:
+        for i in range(0, len(table), window):  # map cancels a window's queued heights after a failure
+            table[i : i + window] = list(pool.map(fetch_one, range(lo, hi + 1)[i : i + window]))
     return dict(zip(COLUMNS[:-1], table.T))
 
 

@@ -168,8 +168,15 @@ def correlation(x: Centred, t: Centred) -> float:
     """Pearson's r of two centred series of equal length.
 
     Raises:
+        IntegrityError: if either argument is not a Centred (see :func:`centred`).
+        ShapeError: if the series' shapes differ.
         DegenerateVarianceError: if either series is constant.
     """
+    for series in (x, t):
+        if not isinstance(series, Centred):
+            raise IntegrityError(f"correlation takes Centred series, got {shown(series)}")
+    if x.deviations.shape != t.deviations.shape:
+        raise ShapeError(f"series lengths differ: shapes {x.deviations.shape} and {t.deviations.shape}")
     if x.sum_squares == 0.0:
         raise DegenerateVarianceError("first series is constant; correlation undefined")
     if t.sum_squares == 0.0:

@@ -29,13 +29,15 @@ _TESTS_DIR = Path(__file__).resolve().parent
 
 
 def pytest_collection_modifyitems(items):
-    """Under tests/ only, make a leaked file or socket, a floating-point
-    overflow or invalid operation, a deprecation warning or a UserWarning
-    (numpy's loadtxt gives one for an input with no rows) fail its test."""
+    """Under tests/ only, make a leaked file or socket, an exception that a
+    thread swallows, a floating-point overflow or invalid operation, a
+    deprecation warning or a UserWarning (numpy's loadtxt gives one for an
+    input with no rows) fail its test."""
     for item in items:
         if item.path.resolve().is_relative_to(_TESTS_DIR):
             item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
             item.add_marker(pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"))
+            item.add_marker(pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning"))
             item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
             item.add_marker(pytest.mark.filterwarnings("error::DeprecationWarning"))
             item.add_marker(pytest.mark.filterwarnings("error::UserWarning"))

@@ -503,6 +503,17 @@ def test_fetch_unreachable_node_is_remote_error(monkeypatch, tmp_path, closed_po
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("to", [str(2**63 - 1), "10000000000000000000"])
+def test_fetch_range_too_large_to_hold_is_data_error(monkeypatch, tmp_path, closed_port_url, capsys, to):
+    # Exit 2 rather than 3 shows the range is refused before the node is contacted.
+    _set_rpc_env(monkeypatch, closed_port_url)
+    out = tmp_path / "f.csv"
+    assert main(["fetch", "--from", "0", "--to", to, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("error: height range [0, ", "error: height must be <= ")) and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_fetch_non_object_rpc_error_is_remote_error(monkeypatch, tmp_path, rpc_server, capsys):
     _set_rpc_env(monkeypatch, rpc_server)
     h = str(STRING_ERROR_HEIGHT)

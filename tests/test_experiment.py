@@ -380,6 +380,15 @@ def test_synth_spec_checks_field_types_and_feasibility(field, value, message):
         default_synth_spec(**{field: value})
 
 
+def test_synth_spec_refuses_a_nan_best_value():
+    # inf + -inf: the best value is NaN, which generate_synthetic would meet only at block 1.
+    model = ModelSpec(ModelKind.JOIST, {**dict.fromkeys(_RANGES, 1.0), "joinsplit": 1e308, "output": -1e308}, 100.0)
+    ranges = {**_RANGES, "joinsplit": (0, 5), "output": (3, 5)}
+    message = r"^count ranges force non-positive times \(best achievable model value nan\)$"
+    with pytest.raises(SynthSpecError, match=message):
+        default_synth_spec(true_model=model, count_ranges=ranges)
+
+
 def _recipe(**overrides) -> dict:
     spec = default_synth_spec(n_blocks=50)
     doc = {**vars(spec), "true_model": to_json_dict(spec.true_model), "count_ranges": _RANGES}

@@ -6,6 +6,8 @@ import re
 from fractions import Fraction
 import ssl
 import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from http.server import ThreadingHTTPServer
 from urllib.parse import urlsplit
 
@@ -450,6 +452,84 @@ def test_fetch_of_one_height_makes_two_requests(drawn_reply_server):
     assert fetch_block_features(_endpoint(url), (7, 7))["size_bytes"].tolist() == [285]
     assert len(served) == 1  # the third reply is left unread
     served.clear()
+
+
+# A two-transaction block: a coinbase with one output, and a spend of one input into two outputs.
+_STUB_BLOCK = {"size": 285, "tx": [{"vin": [{"coinbase": "00"}], "vout": [{}]}, {"vin": [{}], "vout": [{}, {}]}]}
+
+
+def _answering_at_once(faults=None):
+    """A stand-in for ingest._rpc_caller whose node answers at once with _STUB_BLOCK at every
+    height; for a height in *faults*, getblock raises that exception or gives a block of that size."""
+
+    def caller(endpoint):
+        def call(method, params, error, context):
+            if method == "getblockhash":
+                return params[0]
+            fault = (faults or {}).get(params[0])
+            if isinstance(fault, Exception):
+                raise fault
+            return _STUB_BLOCK if fault is None else {**_STUB_BLOCK, "size": fault}
+
+        return call
+
+    return caller
+
+
+@pytest.fixture
+def futures(monkeypatch):
+    """How many futures each ThreadPoolExecutor submits from now on, and the most alive at once."""
+    alive, counts = weakref.WeakSet(), {"submitted": 0, "most_alive": 0}
+    submit = ThreadPoolExecutor.submit
+
+    def counted(self, *args, **kwargs):
+        future = submit(self, *args, **kwargs)
+        alive.add(future)
+        counts["submitted"] += 1
+        counts["most_alive"] = max(counts["most_alive"], len(alive))
+        return future
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
+    return counts
+
+
+def test_fetch_keeps_at_most_one_window_of_futures_alive(monkeypatch, futures):
+    monkeypatch.setattr(joist.ingest, "_rpc_caller", _answering_at_once())
+    blocks = fetch_block_features(_endpoint("http://stub", max_parallel=4), (0, 19_999))
+    assert blocks["height"].tolist() == list(range(20_000))
+    expected = {"size_bytes": 285, "n_transparent_in": 1, "n_transparent_out": 3, "n_spend": 0, "n_output": 0}
+    assert all((blocks[name] == value).all() for name, value in expected.items())
+    assert futures["submitted"] == 20_000
+    assert 0 < futures["most_alive"] <= joist.ingest._WINDOW_PER_WORKER * 4
+
+
+def test_fetch_stops_within_the_window_of_a_failure(monkeypatch, futures):
+    unknown = HeightRangeError("height 5 unknown to node: Block height out of range")
+    monkeypatch.setattr(joist.ingest, "_rpc_caller", _answering_at_once({5: unknown}))
+    with pytest.raises(HeightRangeError, match="^height 5 unknown to node"):
+        fetch_block_features(_endpoint("http://stub", max_parallel=4), (0, 99_999))
+    assert futures["submitted"] <= joist.ingest._WINDOW_PER_WORKER * 4
+
+
+def test_fetch_raises_the_first_failing_height_of_a_window(monkeypatch):
+    refused = RpcConnectionError("cannot reach node at http://stub: connection refused")
+    monkeypatch.setattr(joist.ingest, "_rpc_caller", _answering_at_once({5: 0, 7: refused}))
+    with pytest.raises(IntegrityError, match=r"^block 5: size_bytes must be > 0, got 0$"):
+        fetch_block_features(_endpoint("http://stub", max_parallel=4), (0, 99))
+
+
+@pytest.mark.parametrize(
+    "hi, message",
+    [
+        (2**63 - 1, r"height range \[0, 9223372036854775807\] is too large to fetch: "),
+        (2**63, r"height must be <= 9223372036854775807, got 9223372036854775808$"),
+        (10**19, r"height must be <= 9223372036854775807, got 10000000000000000000$"),
+    ],
+)
+def test_fetch_refuses_a_range_too_large_to_hold_before_any_request(closed_port_url, hi, message):
+    # A request to the closed port would raise RpcConnectionError instead.
+    with pytest.raises(HeightRangeError, match=f"^{message}"):
+        fetch_block_features(_endpoint(closed_port_url), (0, hi))
 
 
 def test_fetch_block_missing_size_field(rpc_server):

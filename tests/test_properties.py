@@ -27,6 +27,7 @@ from joist.features import COLUMNS, COUNT_COLUMNS
 from joist.ingest import CSV_HEADER, write_dataset, write_features_csv
 from joist.models import PREDICTORS, from_json_dict, to_json_dict
 from joist.output import TEMP_SUFFIX
+from joist.stats import Centred, centred, correlation
 
 from conftest import RPC_PASS, RPC_USER, assert_row_table, reference_read_dataset
 
@@ -523,6 +524,23 @@ def series(draw, n):
 def test_evaluate_gives_a_report_or_a_joist_error(t, p):
     report = _outcome(lambda: evaluate(*t, p))
     assert isinstance(report, EvalReport) and report.n == len(t[0]) or issubclass(report[0], JoistError)
+
+
+@st.composite
+def centred_or_odd(draw):
+    """centred() of one to six floats, or one time in three an odd value in its place."""
+    values = draw(st.lists(st.floats(), min_size=1, max_size=6))
+    made = _outcome(lambda: centred(values))
+    return _either(draw, st.just(made) if isinstance(made, Centred) else _ODD)
+
+
+@settings(_SETTINGS, max_examples=200)
+@given(x=centred_or_odd(), t=centred_or_odd())
+@example(x=centred([1.0, 2.0, 3.0]), t=centred([1.0, 2.0]))
+@example(x={}, t=centred([1.0, 2.0]))
+def test_correlation_gives_a_value_or_a_joist_error(x, t):
+    r = _outcome(lambda: correlation(x, t))
+    assert isinstance(r, float) or issubclass(r[0], JoistError)
 
 
 @settings(_SETTINGS, max_examples=200)

@@ -81,6 +81,15 @@ def test_pearson_errors():
         _r([1, 2, 3], [7, 7, 7])
 
 
+def test_correlation_refuses_arguments_that_are_not_centred_series_of_one_length():
+    with pytest.raises(ShapeError, match=r"^series lengths differ: shapes \(3,\) and \(2,\)$"):
+        correlation(centred([1.0, 2.0, 3.0]), centred([1.0, 2.0]))
+    with pytest.raises(IntegrityError, match=r"^correlation takes Centred series, got \{\}$"):
+        correlation({}, centred([1.0, 2.0]))
+    with pytest.raises(IntegrityError, match=r"^correlation takes Centred series, got \[1.0, 2.0\]$"):
+        correlation(centred([1.0, 2.0]), [1.0, 2.0])
+
+
 def test_pearson_properties():
     rng = random.Random(7130)
     for _ in range(30):
