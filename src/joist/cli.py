@@ -1,16 +1,18 @@
 """Command-line front end.
 
-Machine-readable payloads (CSV or single-line JSON) go to stdout; everything
-else goes to stderr. Exit codes: 0 success, 1 usage error, 2 data/integrity
-error, 3 remote/transport error, 4 numerical error, 130 interrupted (Ctrl-C),
+Machine-readable payloads (CSV or single-line JSON) go to stdout; everything else goes to stderr
+after the payload, or nowhere if stderr cannot be written. Exit codes: 0 success, 1 usage error,
+2 data/integrity error, 3 remote/transport error, 4 numerical error, 130 interrupted (Ctrl-C),
 141 the reader of a pipe closed it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import gc
+import itertools
 import os
 import re
 import sys
@@ -34,6 +36,8 @@ EXIT_REMOTE = 3
 EXIT_NUMERICAL = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
+
+_Output = tuple[Iterable[str], Sequence[str]]  # a command's stdout payload, then its stderr lines
 
 
 class _UsageError(Exception):
@@ -63,8 +67,7 @@ _EXIT_CODES = (
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; this tool reserves 2 for data errors.
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {_shortened(message)}", file=sys.stderr)
+        _write_stderr([*self.format_usage().splitlines(), f"{self.prog}: error: {_shortened(message)}"])
         raise SystemExit(EXIT_USAGE)
 
     # argparse drops an OSError from writing help and falls back to stderr for a
@@ -92,7 +95,7 @@ def _endpoint_from_env(parallel: int) -> RpcEndpoint:
     return RpcEndpoint(url=url, username=user, password=password, max_parallel=parallel)
 
 
-def _cmd_fetch(args) -> int:
+def _cmd_fetch(args) -> _Output:
     from .ingest import MAX_PARALLEL, fetch_block_features, write_features_csv
 
     if not 1 <= args.parallel <= MAX_PARALLEL:
@@ -100,25 +103,20 @@ def _cmd_fetch(args) -> int:
     endpoint = _endpoint_from_env(parallel=args.parallel)
     features = fetch_block_features(endpoint, (args.from_height, args.to_height))
     write_features_csv(features, args.out)
-    print(
-        f"wrote {len(features['height'])} feature rows to {args.out}; verify_time_us is "
-        "zero-filled and the file is unusable for fitting until measured times are merged",
-        file=sys.stderr,
-    )
-    return EXIT_OK
+    return (), [f"wrote {len(features['height'])} feature rows to {args.out}; verify_time_us is "
+                "zero-filled and the file is unusable for fitting until measured times are merged"]
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> _Output:
     from .experiment import generate_synthetic, load_synth_spec
     from .ingest import write_dataset
 
     ds = generate_synthetic(load_synth_spec(args.spec))
     write_dataset(ds, args.out)
-    print(f"wrote {len(ds)} synthetic samples to {args.out}", file=sys.stderr)
-    return EXIT_OK
+    return (), [f"wrote {len(ds)} synthetic samples to {args.out}"]
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> _Output:
     from .fit import ols_fit
     from .ingest import read_dataset
     from .models import ModelKind, save_model
@@ -134,29 +132,22 @@ def _cmd_fit(args) -> int:
         train = split(train, SplitPlan(seed=args.seed, n_fit=args.n_fit))[0]
     result = ols_fit(ModelKind(args.kind), train)
     save_model(result.model, args.out)
-    if result.condition_warning:
-        print(f"warning: {result.condition_warning}", file=sys.stderr)
-    print(
-        f"fit {args.kind} on {result.n_samples} samples "
-        f"(rss={result.residual_sum_squares:.6g}); model written to {args.out}",
-        file=sys.stderr,
-    )
-    return EXIT_OK
+    rss = f"{result.residual_sum_squares:.6g}"
+    warnings = [f"warning: {result.condition_warning}"] if result.condition_warning else []
+    return (), [*warnings, f"fit {args.kind} on {result.n_samples} samples (rss={rss}); model written to {args.out}"]
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> _Output:
     from .experiment import emit_plot_data
     from .ingest import read_dataset
     from .models import load_model
 
     model = load_model(args.model)
-    ds = read_dataset(args.data)
-    emit_plot_data(ds, model, args.out)
-    print(f"wrote plot data to {args.out} (regression line in {args.out}.line.json)", file=sys.stderr)
-    return EXIT_OK
+    emit_plot_data(read_dataset(args.data), model, args.out)
+    return (), [f"wrote plot data to {args.out} (regression line in {args.out}.line.json)"]
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> _Output:
     import json
 
     from .ingest import read_dataset
@@ -166,11 +157,10 @@ def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     ds = read_dataset(args.data)
     report = evaluate(ds.verify_time_us, predict(model, ds), n_predictors(model.kind))
-    _write_stdout([json.dumps(vars(report)) + "\n"])
-    return EXIT_OK
+    return [json.dumps(vars(report)) + "\n"], []
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> _Output:
     from .experiment import SplitPlan, comparison_csv_lines, run_comparison
     from .ingest import read_dataset
     from .models import GERVAIS_BASELINE, ModelKind
@@ -182,50 +172,56 @@ def _cmd_compare(args) -> int:
         kinds=(ModelKind.JOIST, ModelKind.BLOCK_SIZE),
         baselines=(GERVAIS_BASELINE,) if args.baseline_gervais else (),
     )
-    _write_stdout(line + "\n" for line in comparison_csv_lines(rows))
-    return EXIT_OK
+    return (line + "\n" for line in comparison_csv_lines(rows)), []
 
 
-def _cmd_correlate(args) -> int:
+def _cmd_correlate(args) -> _Output:
     from .experiment import correlation_table
     from .ingest import read_dataset
 
-    ds = read_dataset(args.data)
-    table = correlation_table(ds)
+    table = correlation_table(read_dataset(args.data))
     # A tiny table with a string column: joined here, not by the column formatter.
     lines = [f"{name},{'degenerate' if r is None else r}\n" for name, r in table.items()]
-    _write_stdout(["feature,r\n", *lines])
-    return EXIT_OK
+    return ["feature,r\n", *lines], []
 
 
-def _cmd_composition(args) -> int:
+def _cmd_composition(args) -> _Output:
     from .experiment import composition_analysis
     from .ingest import read_dataset
     from .output import _csv_chunks
 
     report = composition_analysis(read_dataset(args.data))
     columns = [report.heights, report.transparent_in, report.spend_output, report.joinsplit]
-    _write_stdout(map(bytes.decode, _csv_chunks("height,transparent_in,spend_output,joinsplit", columns)))
-    if report.mean_transparent_in is not None:
-        _write_stdout([f"mean,{report.mean_transparent_in},{report.mean_spend_output},{report.mean_joinsplit}\n"])
-    if report.n_excluded:
-        print(f"excluded {report.n_excluded} block(s) with no verification items", file=sys.stderr)
-    return EXIT_OK
+    table = map(bytes.decode, _csv_chunks("height,transparent_in,spend_output,joinsplit", columns))
+    mean = report.mean_transparent_in
+    means = [] if mean is None else [f"mean,{mean},{report.mean_spend_output},{report.mean_joinsplit}\n"]
+    notes = [f"excluded {report.n_excluded} block(s) with no verification items"] if report.n_excluded else []
+    return itertools.chain(table, means), notes
 
 
 def _write_stdout(texts: Iterable[str]) -> None:
-    """Write a command's payload to stdout and flush it: every command's stdout goes through here."""
-    if sys.stdout is None:  # the process started with stdout closed
-        raise OSError(errno.EBADF, "stdout is closed")
+    """Write a payload to stdout and flush it: every stdout payload goes through here."""
+    _write(sys.stdout, "stdout", texts)
+
+
+def _write_stderr(lines: Iterable[str]) -> None:
+    """Write each line to stderr and flush it: every stderr line goes through here. A closed
+    or unwritable stderr drops them, and the exit code stays what it was."""
+    with contextlib.suppress(OSError):
+        _write(sys.stderr, "stderr", (line + "\n" for line in lines))
+
+
+def _write(stream, name: str, texts: Iterable[str]) -> None:
+    if stream is None:  # the process started with the stream closed
+        raise OSError(errno.EBADF, f"{name} is closed")
     try:
-        sys.stdout.writelines(texts)
-        sys.stdout.flush()
+        stream.writelines(texts)
+        stream.flush()
     except OSError:
-        # A full disk or a reader that closed the pipe. What was not written stays in the
-        # buffer, and the flush at exit would fail on it again: as the signal module's docs
-        # advise, point stdout at devnull first.
+        # A full disk or a closed pipe. The text not written stays in the buffer, and the flush at
+        # exit would fail on it again: as the signal module's docs advise, point it at devnull.
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
         raise
 
@@ -291,17 +287,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)  # inside the try: help is written through _write_stdout
-        return args.func(args)
+        stdout, notes = args.func(args)
+        if stdout:  # () from a command that writes only files, which runs with stdout closed too
+            _write_stdout(stdout)
+        _write_stderr(notes)  # after the payload, and not at all if it could not be written
+        return EXIT_OK
     except SystemExit as exc:  # argparse, after help or a usage error
         return int(exc.code) if exc.code is not None else EXIT_OK
     except BrokenPipeError:  # the reader of a pipe is gone: exit as SIGPIPE would
         return EXIT_BROKEN_PIPE
     except (_UsageError, JoistError, OSError) as exc:
         # One line per failure: a node's message or a file name may hold line breaks.
-        print(f"error: {_shortened(str(exc)).translate(_LINE_BREAKS)}", file=sys.stderr)
+        _write_stderr([f"error: {_shortened(str(exc)).translate(_LINE_BREAKS)}"])
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
+        _write_stderr(["interrupted"])
         return EXIT_INTERRUPTED
 
 

@@ -8,7 +8,8 @@ of their own; they are carried only for correlation reporting.
 
 Fetched counts are columns named by :data:`COLUMNS`; a :class:`Dataset` is one row table in that order.
 Every row table, whether built, read, taken or written, is sorted and checked by :func:`_rows`.
-Everything that touches wire or file formats lives in :mod:`joist.ingest`.
+Everything that touches wire or file formats lives in :mod:`joist.ingest`, except that
+:func:`extract_tx_features` reads the node's decoded-transaction layout.
 """
 
 from __future__ import annotations

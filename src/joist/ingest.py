@@ -244,8 +244,10 @@ def write_features_csv(columns: Mapping[str, np.ndarray], path: str | Path) -> N
 def read_dataset(path: str | Path) -> Dataset:
     """Read and validate a dataset CSV; CRLF and CR line ends are read as LF.
 
-    An error names the first bad line in file order: a value error on an
-    earlier line is named before a format error on a later one.
+    An error names one bad line. Among the lines before the first format
+    error, the first with a value error (in file order) is named first, then
+    the first whose height repeats an earlier one, and only then the format
+    error: a value error is named before a repeated height on an earlier line.
 
     Raises:
         FormatError: wrong header, invalid UTF-8, or a field that is not a

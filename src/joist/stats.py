@@ -149,8 +149,16 @@ class Centred(NamedTuple):
 
 
 def centred(x: ArrayLike) -> Centred:
-    """The two-pass centred moments of a non-empty series."""
-    x = _floats(x)
+    """The two-pass centred moments of a non-empty one-dimensional series.
+
+    Raises:
+        ShapeError, IntegrityError: as :func:`_series` does, or ShapeError if *x* is empty or
+            has more than one dimension.
+        NumericalError: if a value is not finite, or a deviation, square or sum is beyond float range.
+    """
+    x = _series(x, "values")
+    if x.ndim != 1 or not x.size:
+        raise ShapeError(f"values must be one non-empty series, got shape {x.shape}")
     mean = exact_sum(x) / len(x)
     with np.errstate(over="ignore"):  # a deviation beyond float range is refused by sum_squares
         deviations = x - mean

@@ -648,7 +648,7 @@ def test_command_loads_only_what_it_runs(tmp_path, rpc_server, command):
 
 
 # ---------------------------------------------------------------------------
-# stdout that cannot be written, and Ctrl-C
+# stdout or stderr that cannot be written, and Ctrl-C
 # ---------------------------------------------------------------------------
 
 
@@ -693,6 +693,32 @@ def test_reader_closing_the_pipe_exits_as_sigpipe(two_chunk_data):
         proc.stdout.close()  # as `| head -1` does
         stderr = proc.stderr.read()
         assert (proc.wait(timeout=60), stderr) == (141, b"")
+
+
+_STDERR_REDIRECTS = [(c, r) for c in ("fit", "composition", "missing-data", "usage") for r in ("2>&-", "2>/dev/full")]
+
+
+@pytest.mark.parametrize("command, redirect", [*_STDERR_REDIRECTS, ("fit", ">&-")])
+def test_unwritable_stderr_keeps_stdout_and_exit_code(tmp_path, synth_data, capsys, command, redirect):
+    composition_data = tmp_path / "composition.csv"  # its second block has no verification items
+    write_dataset(make_dataset([(1, 100, 9, 0, 1, 0, 0, 10), (2, 100, 0, 2, 0, 0, 0, 10)]), composition_data)
+    argv, code = {
+        "fit": (["fit", "--kind", "joist", "--data", str(synth_data), "--out", str(tmp_path / "model.json")], 0),
+        "composition": (["composition", "--data", str(composition_data)], 0),
+        "missing-data": (["correlate", "--data", str(tmp_path / "absent.csv")], 2),
+        "usage": (["correlate"], 1),
+    }[command]
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    assert expected.err  # a diagnostic that the redirect drops when it is stderr's
+    result = subprocess.run(
+        ["sh", "-c", f'exec "$0" -m joist.cli "$@" {redirect}', sys.executable, *argv],
+        env=subprocess_env(), capture_output=True, text=True, timeout=60,
+    )
+    if redirect.startswith("2"):
+        assert (result.returncode, result.stdout, result.stderr) == (code, expected.out, "")
+    else:  # stdout closed: a command with no payload writes none
+        assert (result.returncode, result.stdout, result.stderr) == (code, "", expected.err)
 
 
 def test_ctrl_c_exits_130_with_one_line(tmp_path, monkeypatch, capsys):

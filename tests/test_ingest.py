@@ -478,15 +478,23 @@ def _answering_at_once(faults=None):
 
 @pytest.fixture
 def futures(monkeypatch):
-    """How many futures each ThreadPoolExecutor submits from now on, and the most alive at once."""
-    alive, counts = weakref.WeakSet(), {"submitted": 0, "most_alive": 0}
+    """How many futures each ThreadPoolExecutor submits from now on, the most submitted and not
+    yet done at once, and the most still referenced at once."""
+    alive, pending = weakref.WeakSet(), set()
+    counts = {"submitted": 0, "most_pending": 0, "most_alive": 0}
     submit = ThreadPoolExecutor.submit
 
     def counted(self, *args, **kwargs):
         future = submit(self, *args, **kwargs)
         alive.add(future)
+        pending.add(future)
+        future.add_done_callback(pending.discard)
         counts["submitted"] += 1
         counts["most_alive"] = max(counts["most_alive"], len(alive))
+        # A done callback runs just after the future is done, so the set may still hold a few
+        # done futures: count the ones that are not done whenever it reaches a new size.
+        if len(pending) > counts["most_pending"]:
+            counts["most_pending"] = max(counts["most_pending"], sum(not f.done() for f in list(pending)))
         return future
 
     monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
@@ -500,7 +508,11 @@ def test_fetch_keeps_at_most_one_window_of_futures_alive(monkeypatch, futures):
     expected = {"size_bytes": 285, "n_transparent_in": 1, "n_transparent_out": 3, "n_spend": 0, "n_output": 0}
     assert all((blocks[name] == value).all() for name, value in expected.items())
     assert futures["submitted"] == 20_000
-    assert 0 < futures["most_alive"] <= joist.ingest._WINDOW_PER_WORKER * 4
+    window = joist.ingest._WINDOW_PER_WORKER * 4
+    assert 0 < futures["most_pending"] <= window
+    # A worker sets a future's result and only then drops its reference to it, so the next
+    # window can be submitted while each of the 4 workers still holds a done future.
+    assert futures["most_alive"] <= window + 4
 
 
 def test_fetch_stops_within_the_window_of_a_failure(monkeypatch, futures):

@@ -528,18 +528,30 @@ def test_evaluate_gives_a_report_or_a_joist_error(t, p):
 
 @st.composite
 def centred_or_odd(draw):
-    """centred() of one to six floats, or one time in three an odd value in its place."""
-    values = draw(st.lists(st.floats(), min_size=1, max_size=6))
-    made = _outcome(lambda: centred(values))
-    return _either(draw, st.just(made) if isinstance(made, Centred) else _ODD)
+    """The input of centred(): up to six floats, a few of them odd values, or an odd value in
+    their place (see series())."""
+    return draw(st.integers(0, 6).flatmap(series))
+
+
+def _centred_or_as_is(x):
+    """centred(x), or x as it is when centred refuses it with a JoistError."""
+    made = _outcome(lambda: centred(x))
+    assert isinstance(made, Centred) or issubclass(made[0], JoistError)
+    return made if isinstance(made, Centred) else x
 
 
 @settings(_SETTINGS, max_examples=200)
 @given(x=centred_or_odd(), t=centred_or_odd())
-@example(x=centred([1.0, 2.0, 3.0]), t=centred([1.0, 2.0]))
-@example(x={}, t=centred([1.0, 2.0]))
+@example(x=[1.0, 2.0, 3.0], t=[1.0, 2.0])
+@example(x={}, t=[1.0, 2.0])
+@example(x=[], t=[1.0, 2.0])
+@example(x=[[1.0, 2.0], [3.0]], t=[1.0, 2.0])
+@example(x="ab", t=[1.0, 2.0])
+@example(x=[[1.0, 2.0], [3.0, 4.0]], t=[1.0, 2.0])
 def test_correlation_gives_a_value_or_a_joist_error(x, t):
-    r = _outcome(lambda: correlation(x, t))
+    """centred() gives a Centred or a JoistError, and correlation() of what it gives, or of
+    the input it refused, gives r or a JoistError."""
+    r = _outcome(lambda: correlation(_centred_or_as_is(x), _centred_or_as_is(t)))
     assert isinstance(r, float) or issubclass(r[0], JoistError)
 
 

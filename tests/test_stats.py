@@ -90,6 +90,21 @@ def test_correlation_refuses_arguments_that_are_not_centred_series_of_one_length
         correlation(centred([1.0, 2.0]), [1.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        ([], r"values must be one non-empty series, got shape \(0,\)"),
+        ([[1.0, 2.0], [3.0, 4.0]], r"values must be one non-empty series, got shape \(2, 2\)"),
+        ([[1.0, 2.0], [3.0]], r"values are not one array: "),
+        ("ab", r"values must be a sequence, got 'ab'"),
+        ({}, r"values must be a sequence, got \{\}"),
+    ],
+)
+def test_centred_refuses_a_series_that_is_empty_or_not_one_dimensional(x, message):
+    with pytest.raises(ShapeError, match=f"^{message}"):
+        centred(x)
+
+
 def test_pearson_properties():
     rng = random.Random(7130)
     for _ in range(30):
